@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Exact limits and Monte Carlo estimates for the standing sentence battery.
 
-For every battery sentence this prints the quantifier depth, the chain used
-(route and state count), the exact limiting probability, the exact
+For every battery sentence this prints the quantifier depth, the number of
+states of its step-automaton chain, the exact limiting probability, the exact
 probability at a chosen finite n, and a sampling estimate with its 99%
 half-width.  Discrepancies beyond what the half-widths allow would indicate
 a bug somewhere in the pipeline.

@@ -67,7 +67,6 @@ from .limitchain import (
     estimate_probability,
     limit_probability,
     limiting_distribution,
-    transition_matrix,
     verify_chain_states,
 )
 from .stepauto import StepAutomaton, compile_sentence

@@ -79,11 +79,12 @@ def cmd_limit(args) -> int:
     print(f"chain states: {len(analysis.chain)}")
     print(f"limit = {_fraction_text(analysis.probability)}")
     print(f"limit ≈ {_decimal_text(analysis.probability)}")
-    doc = chain_to_json(analysis.chain)
-    doc["sentence"] = format_formula(analysis.sentence)
-    doc["theory"] = theory
-    doc["limit_probability"] = _fraction_text(analysis.probability)
-    _emit(args, doc)
+    if args.emit_json:
+        doc = chain_to_json(analysis.chain)
+        doc["sentence"] = format_formula(analysis.sentence)
+        doc["theory"] = theory
+        doc["limit_probability"] = _fraction_text(analysis.probability)
+        _emit(args, doc)
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(chain_to_dot(analysis.chain))
@@ -170,7 +171,8 @@ def cmd_states(args) -> int:
     for s in chain.states:
         print(f"{s.id}: {s.representative.shape} "
               f"plus->{s.succ_plus} hat->{s.succ_hat}")
-    _emit(args, chain_to_json(chain))
+    if args.emit_json:
+        _emit(args, chain_to_json(chain))
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(chain_to_dot(chain))

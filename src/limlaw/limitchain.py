@@ -7,6 +7,12 @@ from the one-point class visits states with exactly the distribution of a
 uniformly random size-n structure, so the limiting distribution of the walk
 gives the asymptotic probability of any sentence of quantifier depth <= k.
 
+Limits and estimates run on the sentence's step-automaton chain
+(:func:`build_sentence_chain`), the coarsest quotient of that class chain
+which still decides the sentence.  The class chain itself
+(:func:`build_chain`) is built only for ``limlaw states`` and as an
+independent check of the quotient.
+
 All chain analysis is exact: probabilities are ``fractions.Fraction`` values
 throughout, so the acceptance checks are equalities rather than tolerances.
 """
@@ -46,6 +52,7 @@ from .structures import (
     decompose,
     hat,
     oplus,
+    shape_from_bits,
 )
 
 
@@ -165,32 +172,6 @@ def build_chain(k: int,
         for idx, rep in enumerate(reps)
     )
     return Chain(k=k, states=states, start=0)
-
-
-def relabel_chain(chain: Chain,
-                  accept: Callable[[ConvexLinearOrder], bool] | None) -> Chain:
-    """Same states and transitions, fresh accepting flags (the state space
-    depends only on k, not on the sentence)."""
-    states = tuple(
-        ChainState(s.id, s.representative,
-                   None if accept is None else bool(accept(s.representative)),
-                   s.succ_plus, s.succ_hat)
-        for s in chain.states
-    )
-    return Chain(k=chain.k, states=states, start=chain.start)
-
-
-def transition_matrix(chain: Chain) -> list[list[Fraction]]:
-    """Row-stochastic matrix of exact rationals (entries 0, 1/2, or 1)."""
-    n = len(chain.states)
-    half = Fraction(1, 2)
-    rows = []
-    for s in chain.states:
-        row = [Fraction(0)] * n
-        row[s.succ_plus] += half
-        row[s.succ_hat] += half
-        rows.append(row)
-    return rows
 
 
 def _successor_sets(chain: Chain) -> list[tuple[int, ...]]:
@@ -483,19 +464,12 @@ def _coerce_sentence(theory: str, sentence) -> Formula:
     return sentence
 
 
-#: Largest depth at which the full class chain is materialized; deeper
-#: sentences go through the (provably equivalent) step-automaton quotient.
-CLASS_CHAIN_MAX_K = 2
-
-
-def prepare_chain(theory: str, sentence, k_override: int | None = None,
-                  chain_method: str = "auto"
+def prepare_chain(theory: str, sentence, k_override: int | None = None
                   ) -> tuple[Formula, Formula, int, Chain]:
-    """Translate, fix k, and build a chain labeled by sentence satisfaction.
+    """Translate, fix k, and build the sentence's step-automaton chain.
 
-    ``chain_method``: "classes" forces the depth-k class chain, "automaton"
-    the sentence's step-automaton quotient, "auto" picks the class chain
-    for depths where it is materializable and the quotient beyond.
+    The chain does not depend on k: ``k_override`` only raises the
+    reported depth.
     """
     sentence = _coerce_sentence(theory, sentence)
     translated = translate_to_convex(theory, sentence)
@@ -506,28 +480,17 @@ def prepare_chain(theory: str, sentence, k_override: int | None = None,
                 f"k override {k_override} is below the quantifier depth {k}; "
                 f"only upward overrides are allowed")
         k = k_override
-    if chain_method == "auto":
-        chain_method = "classes" if k <= CLASS_CHAIN_MAX_K else "automaton"
-    if chain_method == "classes":
-        def accept(rep: ConvexLinearOrder) -> bool:
-            return evaluate(as_relational("convex", rep.shape), translated)
-
-        chain = build_chain(k, accept)
-    elif chain_method == "automaton":
-        chain = build_sentence_chain(translated)
-    else:
-        raise ValueError(f"unknown chain method {chain_method!r}")
-    return sentence, translated, k, chain
+    return sentence, translated, k, build_sentence_chain(translated)
 
 
-def analyze_limit(theory: str, sentence, k_override: int | None = None,
-                  chain_method: str = "auto") -> LimitAnalysis:
-    """Exact limiting probability of the sentence, with the chain evidence."""
-    sentence, translated, k, chain = prepare_chain(
-        theory, sentence, k_override, chain_method)
-    if not check_fully_aperiodic(chain):
-        raise InternalVerificationError(
-            f"built chain for k={k} is not fully aperiodic")
+def analyze_limit(theory: str, sentence, k_override: int | None = None
+                  ) -> LimitAnalysis:
+    """Exact limiting probability of the sentence, with the chain evidence.
+
+    Raises ``PeriodicChainError`` if the chain is not fully aperiodic.
+    """
+    sentence, translated, k, chain = prepare_chain(theory, sentence,
+                                                   k_override)
     dist = limiting_distribution(chain)
     probability = sum((dist[s.id] for s in chain.states if s.accepting),
                       Fraction(0))
@@ -580,20 +543,9 @@ def _chunk_bits(seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=(size, max(n - 1, 0)), dtype=np.uint8)
 
 
-def _shape_from_bits(row) -> PartSequence:
-    parts = [1]
-    for bit in row:
-        if bit:
-            parts[-1] += 1
-        else:
-            parts.append(1)
-    return PartSequence(tuple(parts))
-
-
 def estimate_probability(theory: str, sentence, n: int, samples: int,
                          seed: int, *, method: str = "walk",
-                         threads: int = 1,
-                         chain_method: str = "auto") -> EstimateResult:
+                         threads: int = 1) -> EstimateResult:
     """Monte Carlo estimate with a 99% Wilson half-width.
 
     Draws uniform size-n structures as independent fair construction steps
@@ -612,8 +564,7 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
         raise ValueError("samples must be >= 1")
     if method not in ("walk", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    sentence, translated, k, chain = prepare_chain(
-        theory, sentence, chain_method=chain_method)
+    sentence, translated, k, chain = prepare_chain(theory, sentence)
 
     if method == "walk":
         trans = np.array(
@@ -634,7 +585,7 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
             bits = _chunk_bits(seed, idx, size, n)
             count = 0
             for row in bits:
-                shape = _shape_from_bits(row)
+                shape = shape_from_bits(row)
                 if evaluate(as_relational(theory, shape), sentence):
                     count += 1
             return count
@@ -669,7 +620,7 @@ def verify_chain_states(chain: Chain, solver: GameSolver | None = None) -> None:
                     f"are equivalent at depth {chain.k}")
 
 
-def chain_to_json(chain: Chain, include_limit: bool = True) -> dict:
+def chain_to_json(chain: Chain) -> dict:
     doc: dict = {
         "k": chain.k,
         "start": chain.start,
@@ -684,11 +635,10 @@ def chain_to_json(chain: Chain, include_limit: bool = True) -> dict:
             for s in chain.states
         ],
     }
-    if include_limit:
-        dist = limiting_distribution(chain)
-        doc["limit"] = [f"{p.numerator}/{p.denominator}"
-                        for p in dist.probabilities]
-        doc["limit_approx"] = [float(p) for p in dist.probabilities]
+    dist = limiting_distribution(chain)
+    doc["limit"] = [f"{p.numerator}/{p.denominator}"
+                    for p in dist.probabilities]
+    doc["limit_approx"] = [float(p) for p in dist.probabilities]
     return doc
 
 

@@ -68,18 +68,27 @@ class _DFA:
     trans: tuple[dict, ...]  # per state: letter -> state
 
 
+def _refine(classes: list[int], successors: list[tuple[int, ...]]
+            ) -> list[int]:
+    """Moore partition refinement: the coarsest refinement of ``classes``
+    (a class id per state) in which states of one class have successors in
+    the same classes, letter by letter.  Classes are numbered in order of
+    their first state."""
+    count = len(set(classes))
+    while True:
+        sigs: dict = {}
+        lookup = classes.__getitem__
+        classes = [sigs.setdefault((c, *map(lookup, succ)), len(sigs))
+                   for c, succ in zip(classes, successors)]
+        if len(sigs) == count:
+            return classes
+        count = len(sigs)
+
+
 def _minimize(dfa: _DFA) -> _DFA:
     letters = _alphabet(dfa.variables)
-    cls = [1 if q in dfa.accept else 0 for q in range(dfa.n_states)]
-    while True:
-        sigs = {}
-        new_cls = [0] * dfa.n_states
-        for q in range(dfa.n_states):
-            sig = (cls[q],) + tuple(cls[dfa.trans[q][l]] for l in letters)
-            new_cls[q] = sigs.setdefault(sig, len(sigs))
-        if new_cls == cls:
-            break
-        cls = new_cls
+    cls = _refine([q in dfa.accept for q in range(dfa.n_states)],
+                  [tuple(row[l] for l in letters) for row in dfa.trans])
     n = len(set(cls))
     rep_of = {}
     for q in range(dfa.n_states):
@@ -341,18 +350,8 @@ def compile_sentence(f: Formula) -> StepAutomaton:
     accept_bit = [dfa.trans[q][(_END, empty)] in dfa.accept
                   for q in range(dfa.n_states)]
     # minimize the bit automaton against the derived acceptance
-    cls = [1 if accept_bit[q] else 0 for q in range(dfa.n_states)]
-    while True:
-        sigs = {}
-        new_cls = [0] * dfa.n_states
-        for q in range(dfa.n_states):
-            sig = (cls[q],
-                   cls[dfa.trans[q][(0, empty)]],
-                   cls[dfa.trans[q][(1, empty)]])
-            new_cls[q] = sigs.setdefault(sig, len(sigs))
-        if new_cls == cls:
-            break
-        cls = new_cls
+    cls = _refine(accept_bit, [(row[(0, empty)], row[(1, empty)])
+                               for row in dfa.trans])
     rep_of = {}
     for q in range(dfa.n_states):
         rep_of.setdefault(cls[q], q)

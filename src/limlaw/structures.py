@@ -185,17 +185,26 @@ def decompose(c: ConvexLinearOrder) -> tuple[BuildStep, ...]:
     return tuple(steps)
 
 
+def shape_from_bits(bits) -> PartSequence:
+    """The shape built from the one-point structure by one step per bit, in
+    order: 1 grows the last class, 0 starts a new singleton class."""
+    parts = [1]
+    for bit in bits:
+        if bit:
+            parts[-1] += 1
+        else:
+            parts.append(1)
+    return PartSequence(tuple(parts))
+
+
 def replay(steps) -> ConvexLinearOrder:
     """Apply a step sequence starting from the one-point structure."""
-    parts = [1]
-    for step in steps:
-        if step is BuildStep.HAT:
-            parts[-1] += 1
-        elif step is BuildStep.PLUS_BULLET:
-            parts.append(1)
-        else:
+    def grows(step) -> bool:
+        if not isinstance(step, BuildStep):
             raise ValueError(f"unknown build step {step!r}")
-    return ConvexLinearOrder(PartSequence(tuple(parts)))
+        return step is BuildStep.HAT
+
+    return ConvexLinearOrder(shape_from_bits(map(grows, steps)))
 
 
 def sample_uniform(n: int, rng: random.Random) -> ConvexLinearOrder:
@@ -209,29 +218,16 @@ def sample_uniform(n: int, rng: random.Random) -> ConvexLinearOrder:
     if n == 1:
         return BULLET
     bits = rng.getrandbits(n - 1)
-    parts = [1]
-    for i in range(n - 1):
-        if (bits >> i) & 1:
-            parts[-1] += 1
-        else:
-            parts.append(1)
-    return ConvexLinearOrder(PartSequence(tuple(parts)))
+    return ConvexLinearOrder(
+        shape_from_bits((bits >> i) & 1 for i in range(n - 1)))
 
 
 def enumerate_shapes(n: int) -> list[PartSequence]:
     """All 2^(n-1) part sequences of size ``n``, in step-bitmask order."""
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
-    out = []
-    for mask in range(1 << (n - 1)):
-        parts = [1]
-        for i in range(n - 1):
-            if (mask >> i) & 1:
-                parts[-1] += 1
-            else:
-                parts.append(1)
-        out.append(PartSequence(tuple(parts)))
-    return out
+    return [shape_from_bits((mask >> i) & 1 for i in range(n - 1))
+            for mask in range(1 << (n - 1))]
 
 
 def layered_to_convex(p: LayeredPermutation) -> ConvexLinearOrder:

@@ -190,12 +190,10 @@ def test_criterion_06_pushforward_exactness():
             if any(Fraction(c, denom) != dist[i]
                    for i, c in enumerate(counts)):
                 ok = False
-    # depth 3: the class chain cannot be materialized (the class count
-    # explodes; see the k=3 walk-classified chains instead): the identity
-    # still holds exactly on every depth-3 battery chain
+    # every battery chain is a step automaton, a quotient of the class
+    # chain (which cannot be materialized at depth 3): the identity still
+    # holds exactly on each of them
     for analysis in _battery_analyses():
-        if analysis.k != 3:
-            continue
         chain = analysis.chain
         for n in range(1, 13):
             counts = [0] * len(chain)

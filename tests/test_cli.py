@@ -15,6 +15,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_solves(monkeypatch):
+    """The chains of every exact limit solve made from now on."""
+    from limlaw import limitchain
+
+    solved = []
+    solve = limitchain.limiting_distribution
+
+    def counted(chain):
+        solved.append(chain)
+        return solve(chain)
+
+    monkeypatch.setattr(limitchain, "limiting_distribution", counted)
+    return solved
+
+
 class TestLimit:
     def test_pair_sentence(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--theory", "convex",
@@ -22,6 +37,12 @@ class TestLimit:
         assert code == 0
         assert "limit = 1/1" in out
         assert "chain states:" in out
+
+    def test_limit_solves_once(self, capsys, monkeypatch):
+        solved = count_solves(monkeypatch)
+        code, _, _ = run_cli(capsys, "limit", "--formula", PAIR)
+        assert code == 0
+        assert len(solved) == 1
 
     def test_layered_descent(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--theory", "layered",
@@ -204,6 +225,14 @@ class TestStates:
                                "--budget", "500")
         assert code == 3
         assert "budget" in err or "closure" in err
+
+    def test_solves_only_for_json(self, capsys, monkeypatch, tmp_path):
+        solved = count_solves(monkeypatch)
+        assert run_cli(capsys, "states", "--k", "1")[0] == 0
+        assert not solved
+        assert run_cli(capsys, "states", "--k", "1", "--emit-json",
+                       str(tmp_path / "states.json"))[0] == 0
+        assert len(solved) == 1
 
     def test_emit_json_round_trip(self, capsys, tmp_path):
         path = tmp_path / "states.json"

@@ -25,12 +25,9 @@ from limlaw.limitchain import (
     estimate_probability,
     limit_probability,
     limiting_distribution,
-    prepare_chain,
-    relabel_chain,
-    transition_matrix,
     verify_chain_states,
 )
-from limlaw.logic import SIGNATURES, evaluate, parse, translate_to_convex
+from limlaw.logic import SIGNATURES, evaluate, parse
 from limlaw.structures import (
     BULLET,
     ConvexLinearOrder,
@@ -49,6 +46,17 @@ def _hand_chain(succs, accepting=None, start=0):
         for i, (sp, sh) in enumerate(succs)
     )
     return Chain(k=0, states=states, start=start)
+
+
+def _class_chain(k, sentence):
+    """The depth-k class chain labeled by a convex sentence: the oracle the
+    sentence's automaton chain is checked against."""
+    return build_chain(
+        k, lambda rep: evaluate(as_relational("convex", rep.shape), sentence))
+
+
+def _accepting_mass(chain, dist):
+    return sum((dist[s.id] for s in chain.states if s.accepting), Fraction(0))
 
 
 class TestBuildChain:
@@ -88,30 +96,10 @@ class TestBuildChain:
         chain = build_chain(2, accept)
         for state in chain.states:
             assert state.accepting == accept(state.representative)
-        blank = relabel_chain(chain, None)
-        assert all(s.accepting is None for s in blank.states)
 
     def test_dangling_successor_rejected(self):
         with pytest.raises(ValueError):
             _hand_chain([(0, 5)])
-
-
-class TestTransitionMatrix:
-    def test_self_loop_row(self):
-        m = transition_matrix(_hand_chain([(0, 0)]))
-        assert m == [[Fraction(1)]]
-
-    def test_k1_chain_matrix(self):
-        assert transition_matrix(build_chain(1)) == [[Fraction(1)]]
-
-    def test_rows_sum_to_one_exactly(self):
-        chain = build_chain(2)
-        for row in transition_matrix(chain):
-            assert sum(row) == 1
-
-    def test_split_row(self):
-        m = transition_matrix(_hand_chain([(1, 2), (1, 1), (2, 2)]))
-        assert m[0] == [Fraction(0), HALF, HALF]
 
 
 class TestAperiodicity:
@@ -239,30 +227,25 @@ class TestLimitProbability:
             analyze_limit("convex", text, k_override=1)
 
     def test_routes_agree_at_low_depth(self):
+        checked = 0
         for entry in BATTERY:
-            sentence = parse(entry.text, SIGNATURES[entry.theory])
-            translated = translate_to_convex(entry.theory, sentence)
-            from limlaw.logic import quantifier_depth
-
-            if quantifier_depth(translated) > 2:
+            analysis = analyze_limit(entry.theory, entry.text)
+            if analysis.k > 2:
                 continue
-            via_classes = analyze_limit(entry.theory, entry.text,
-                                        chain_method="classes")
-            via_automaton = analyze_limit(entry.theory, entry.text,
-                                          chain_method="automaton")
-            assert via_classes.probability == via_automaton.probability
+            checked += 1
+            oracle = _class_chain(analysis.k, analysis.translated)
+            assert _accepting_mass(oracle, limiting_distribution(oracle)) \
+                == analysis.probability, entry.name
             # the exact finite-n probabilities must agree as well: the
             # automaton is a quotient, so accepting mass is preserved
             for n in range(1, 21):
-                mass_classes = sum(
-                    (distribution_after(via_classes.chain, n - 1)[s.id]
-                     for s in via_classes.chain.states if s.accepting),
-                    Fraction(0))
-                mass_auto = sum(
-                    (distribution_after(via_automaton.chain, n - 1)[s.id]
-                     for s in via_automaton.chain.states if s.accepting),
-                    Fraction(0))
-                assert mass_classes == mass_auto, (entry.name, n)
+                assert _accepting_mass(
+                    oracle, distribution_after(oracle, n - 1)) == \
+                    _accepting_mass(
+                        analysis.chain,
+                        distribution_after(analysis.chain, n - 1)), \
+                    (entry.name, n)
+        assert checked == 7
 
     def test_open_formula_rejected(self):
         with pytest.raises(ValueError):
@@ -289,8 +272,8 @@ class TestLimitProbability:
             limit_probability("convex", fr)
 
     def test_depth_reduction_crosses_routes(self):
-        # the last-class property written at depth 2 runs on the class
-        # chain; at depth 3 it runs on the sentence automaton — same limit
+        # the last-class property written at depth 2 and again at depth 3:
+        # two sentences, two automata, one limit
         depth2 = "exists y. (!(exists z. y < z) & exists x. (x < y & x E y))"
         a = analyze_limit("convex", depth2)
         b = analyze_limit("convex", BATTERY[6].text)
@@ -302,8 +285,7 @@ class TestLimitProbability:
         assert limit_probability("convex", "false") == 0
 
     def test_exact_vs_iterated_on_k2_chain(self):
-        _, _, _, chain = prepare_chain(
-            "convex", "exists x. exists y. (x E y & !(x = y))")
+        chain = _class_chain(2, parse("exists x. exists y. (x E y & !(x = y))"))
         exact = limiting_distribution(chain)
         iterated = distribution_after(chain, 2000)
         assert exact.max_norm_distance(iterated) < Fraction(1, 10 ** 9)
@@ -374,8 +356,7 @@ class TestVerification:
         # representatives cannot agree at the sentence's quantifier depth
         solver = GameSolver()
         for entry in BATTERY:
-            analysis = analyze_limit(entry.theory, entry.text,
-                                     chain_method="automaton")
+            analysis = analyze_limit(entry.theory, entry.text)
             verify_chain_states(analysis.chain, solver)
 
     def test_duplicate_states_detected(self):
@@ -390,8 +371,7 @@ class TestVerification:
 
 class TestExports:
     def test_json_round_trip_preserves_limit(self, tmp_path):
-        _, _, _, chain = prepare_chain(
-            "convex", "exists x. exists y. (x E y & !(x = y))")
+        chain = _class_chain(2, parse("exists x. exists y. (x E y & !(x = y))"))
         doc = chain_to_json(chain)
         text = json.dumps(doc)
         reloaded = chain_from_json(json.loads(text))
