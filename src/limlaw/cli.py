@@ -80,7 +80,7 @@ def cmd_limit(args) -> int:
     print(f"limit = {_fraction_text(analysis.probability)}")
     print(f"limit ≈ {_decimal_text(analysis.probability)}")
     if args.emit_json:
-        doc = chain_to_json(analysis.chain)
+        doc = chain_to_json(analysis.chain, analysis.distribution)
         doc["sentence"] = format_formula(analysis.sentence)
         doc["theory"] = theory
         doc["limit_probability"] = _fraction_text(analysis.probability)

@@ -19,6 +19,7 @@ throughout, so the acceptance checks are equalities rather than tolerances.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -508,6 +509,8 @@ def limit_probability(theory: str, sentence) -> Fraction:
 
 _WILSON_Z99 = 2.5758293035489004
 _CHUNK = 4096
+#: step bytes drawn per sample at a time (8 steps each)
+_SLICE_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -537,10 +540,60 @@ def _chunks(samples: int) -> list[tuple[int, int]]:
     return out
 
 
-def _chunk_bits(seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
+def _step_bytes(seed: int, chunk_index: int, size: int, n: int):
+    """Yield the chunk's random construction steps as packed bytes: one row
+    of ``size`` bytes (one per sample) per 8 steps, ``ceil((n - 1) / 8)``
+    rows in all.  Step ``t`` of sample ``i`` is bit ``t % 8`` (least
+    significant first) of byte ``i`` of row ``t // 8``; 1 grows the last
+    class.
+
+    Each chunk has its own generator, derived from the seed and the chunk
+    index.  Rows are drawn ``_SLICE_BYTES`` at a time in step-major order,
+    so a row is contiguous and memory stays O(size * _SLICE_BYTES) at any n.
+    """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     rng = np.random.Generator(np.random.PCG64(seq))
-    return rng.integers(0, 2, size=(size, max(n - 1, 0)), dtype=np.uint8)
+    rows = (n - 1 + 7) // 8
+    for start in range(0, rows, _SLICE_BYTES):
+        width = min(_SLICE_BYTES, rows - start)
+        block = np.frombuffer(rng.bytes(width * size), dtype=np.uint8)
+        yield from block.reshape(width, size)
+
+
+def _step_bits(seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
+    """The same steps unpacked, one row of ``n - 1`` bits per sample."""
+    packed = np.array(list(_step_bytes(seed, chunk_index, size, n)),
+                      dtype=np.uint8).reshape(-1, size)
+    return np.unpackbits(packed.T, axis=1, count=n - 1, bitorder="little")
+
+
+def _step_table(chain: Chain, width: int) -> np.ndarray:
+    """Flat table of the chain's ``width``-step moves: entry ``256*s + b`` is
+    ``256 * t``, where ``t`` is the state reached from ``s`` by the low
+    ``width`` bits of byte ``b``, least significant first."""
+    trans = np.array(
+        [[s.succ_plus for s in chain.states],
+         [s.succ_hat for s in chain.states]], dtype=np.intp)
+    byte = np.arange(256)[:, None]
+    table = np.broadcast_to(np.arange(len(chain)), (256, len(chain)))
+    for b in range(width):
+        table = trans[(byte >> b) & 1, table]
+    return (table.T << 8).ravel()
+
+
+def _walk_chunk(chain: Chain, tables: tuple[np.ndarray, np.ndarray],
+                seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
+    """Final chain state of each sample of the chunk, one gather per byte:
+    ``tables`` are the 8-step table and the table of the last
+    ``(n - 1) % 8`` steps."""
+    full, tail = tables
+    full_rows = (n - 1) // 8
+    state = np.full(size, chain.start << 8, dtype=np.intp)
+    index = np.empty(size, dtype=np.intp)
+    for t, row in enumerate(_step_bytes(seed, chunk_index, size, n)):
+        np.add(state, row, out=index)
+        np.take(full if t < full_rows else tail, index, out=state)
+    return state >> 8
 
 
 def estimate_probability(theory: str, sentence, n: int, samples: int,
@@ -548,49 +601,49 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
                          threads: int = 1) -> EstimateResult:
     """Monte Carlo estimate with a 99% Wilson half-width.
 
-    Draws uniform size-n structures as independent fair construction steps
-    (one generator per fixed-size chunk, derived from the seed and the chunk
-    index, so the result is deterministic and independent of scheduling).
+    Draws uniform size-n structures as independent fair construction steps,
+    packed 8 to a byte (one generator per fixed-size chunk, derived from the
+    seed and the chunk index, so the result is deterministic and independent
+    of scheduling).  ``threads`` runs chunks in parallel; it must be >= 1 and
+    is capped at the CPU count.
 
     ``method="walk"`` classifies each sample by running its steps through
-    the state machine and reads satisfaction off the class label — exact for
-    every sample, and fast enough for large n.  ``method="direct"`` model
-    checks every sampled structure with the evaluator; both methods decide
-    the same satisfaction bit per sample.
+    the state machine, one table lookup per 8 steps, and reads satisfaction
+    off the state's label — exact for every sample, and fast enough for
+    large n.  ``method="direct"`` unpacks the same bytes in the same bit
+    order and model checks every sampled structure with the evaluator; both
+    methods decide the same satisfaction bit per sample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if method not in ("walk", "direct"):
         raise ValueError(f"unknown method {method!r}")
     sentence, translated, k, chain = prepare_chain(theory, sentence)
 
     if method == "walk":
-        trans = np.array(
-            [[s.succ_plus for s in chain.states],
-             [s.succ_hat for s in chain.states]], dtype=np.int64)
+        tables = (_step_table(chain, 8), _step_table(chain, (n - 1) % 8))
         accepting = np.array([bool(s.accepting) for s in chain.states])
 
         def run_chunk(job: tuple[int, int]) -> int:
             idx, size = job
-            bits = _chunk_bits(seed, idx, size, n)
-            state = np.full(size, chain.start, dtype=np.int64)
-            for t in range(n - 1):
-                state = trans[bits[:, t], state]
-            return int(accepting[state].sum())
+            states = _walk_chunk(chain, tables, seed, idx, size, n)
+            return int(accepting[states].sum())
     else:
         def run_chunk(job: tuple[int, int]) -> int:
             idx, size = job
-            bits = _chunk_bits(seed, idx, size, n)
             count = 0
-            for row in bits:
+            for row in _step_bits(seed, idx, size, n):
                 shape = shape_from_bits(row)
                 if evaluate(as_relational(theory, shape), sentence):
                     count += 1
             return count
 
     jobs = _chunks(samples)
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(run_chunk, jobs))
@@ -620,7 +673,10 @@ def verify_chain_states(chain: Chain, solver: GameSolver | None = None) -> None:
                     f"are equivalent at depth {chain.k}")
 
 
-def chain_to_json(chain: Chain) -> dict:
+def chain_to_json(chain: Chain, distribution: Distribution | None = None
+                  ) -> dict:
+    """JSON document of the chain and its limiting distribution, which is
+    solved here unless the caller already has it."""
     doc: dict = {
         "k": chain.k,
         "start": chain.start,
@@ -635,10 +691,11 @@ def chain_to_json(chain: Chain) -> dict:
             for s in chain.states
         ],
     }
-    dist = limiting_distribution(chain)
+    if distribution is None:
+        distribution = limiting_distribution(chain)
     doc["limit"] = [f"{p.numerator}/{p.denominator}"
-                    for p in dist.probabilities]
-    doc["limit_approx"] = [float(p) for p in dist.probabilities]
+                    for p in distribution.probabilities]
+    doc["limit_approx"] = [float(p) for p in distribution.probabilities]
     return doc
 
 

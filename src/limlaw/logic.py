@@ -136,6 +136,14 @@ _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 
 # --- tokenizer / parser ------------------------------------------------------
 
+#: The deepest formula :func:`parse` accepts.  Neither the parentheses,
+#: negations, quantifiers and right-nested ``->``/``<->`` open at any point
+#: of the text, nor the depth of the parsed formula tree (a chain of ``&`` or
+#: ``|`` nests to the left), may exceed it; deeper input is a
+#: :class:`FormulaSyntaxError`.  It keeps the parser and every recursive pass
+#: over a parsed formula well inside Python's default recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"<->|->|<1|<2|[<=|&!().]|[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -161,6 +169,7 @@ class _Parser:
         self.sig = sig
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -188,6 +197,19 @@ class _Parser:
         if self.i < len(self.tokens):
             raise FormulaSyntaxError(
                 f"trailing input starting with {self._peek()!r}", self._pos())
+        if _tree_depth(f) > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula tree is deeper than {MAX_NESTING} levels", 0)
+        return f
+
+    def _nested(self, parse) -> Formula:
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels", self._pos())
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
         return f
 
     def _formula(self) -> Formula:
@@ -200,7 +222,7 @@ class _Parser:
         pos = self._pos()
         var = self._ident(pos)
         self._expect(".")
-        body = self._formula()
+        body = self._nested(self._formula)
         return Forall(var, body) if kw == "forall" else Exists(var, body)
 
     def _ident(self, pos: int) -> str:
@@ -216,14 +238,14 @@ class _Parser:
         left = self._implies()
         if self._peek() == "<->":
             self.i += 1
-            return Iff(left, self._iff())
+            return Iff(left, self._nested(self._iff))
         return left
 
     def _implies(self) -> Formula:
         left = self._or()
         if self._peek() == "->":
             self.i += 1
-            return Implies(left, self._implies())
+            return Implies(left, self._nested(self._implies))
         return left
 
     def _or(self) -> Formula:
@@ -244,10 +266,10 @@ class _Parser:
         tok = self._peek()
         if tok == "!":
             self.i += 1
-            return Not(self._unary())
+            return Not(self._nested(self._unary))
         if tok == "(":
             self.i += 1
-            inner = self._formula()
+            inner = self._nested(self._formula)
             self._expect(")")
             return inner
         if tok == "true":
@@ -276,6 +298,18 @@ class _Parser:
                 f"relation {rel!r} is not in the {self.sig.theory} signature "
                 f"(at position {rel_pos})")
         return Atom(rel, left, right)
+
+
+def _tree_depth(f: Formula) -> int:
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(g, _BINARY):
+            stack += [(g.left, depth + 1), (g.right, depth + 1)]
+        elif isinstance(g, (Not, Exists, Forall)):
+            stack.append((g.body, depth + 1))
+    return deepest
 
 
 def parse(text: str, sig: Signature | None = None) -> Formula:

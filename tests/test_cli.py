@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from limlaw.cli import main
+from limlaw.logic import MAX_NESTING
 
 PAIR = "exists x. exists y. (x E y & !(x = y))"
 FIRST_TWO = ("exists x. exists y. (!(exists z. z < x) & x < y"
@@ -38,11 +39,15 @@ class TestLimit:
         assert "limit = 1/1" in out
         assert "chain states:" in out
 
-    def test_limit_solves_once(self, capsys, monkeypatch):
+    def test_limit_solves_once(self, capsys, monkeypatch, tmp_path):
         solved = count_solves(monkeypatch)
         code, _, _ = run_cli(capsys, "limit", "--formula", PAIR)
         assert code == 0
         assert len(solved) == 1
+        code, _, _ = run_cli(capsys, "limit", "--formula", PAIR,
+                             "--emit-json", str(tmp_path / "chain.json"))
+        assert code == 0
+        assert len(solved) == 2
 
     def test_layered_descent(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--theory", "layered",
@@ -93,6 +98,25 @@ class TestLimit:
         code, _, _ = run_cli(capsys, "limit", "--formula", "x < y")
         assert code == 2
 
+    def test_deep_nesting_exit_2(self, capsys):
+        for text in ("exists x. " + "(" * 10_000 + "x = x" + ")" * 10_000,
+                     "exists x. " + "!" * 10_000 + "x = x"):
+            code, _, err = run_cli(capsys, "limit", "--formula", text)
+            assert code == 2
+            assert "nests deeper than" in err
+
+    def test_every_stage_runs_at_the_nesting_cap(self, capsys):
+        inner = MAX_NESTING - 1
+        negations = "!" * inner + "x = x"
+        for text, limit in (
+                ("exists x. " + "(" * inner + "x = x" + ")" * inner, "1/1"),
+                ("exists x. " + negations, "0/1" if inner % 2 else "1/1"),
+                ("exists x. " * MAX_NESTING + "x = x", "1/1"),
+                ("exists x. " + " & ".join(["x = x"] * MAX_NESTING), "1/1")):
+            code, out, _ = run_cli(capsys, "limit", "--formula", text)
+            assert code == 0
+            assert f"limit = {limit}" in out
+
     def test_formula_file(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text(PAIR)
@@ -138,6 +162,14 @@ class TestEstimate:
         _, out1, _ = run_cli(capsys, *base)
         _, out2, _ = run_cli(capsys, *base, "--threads", "3")
         assert out1 == out2
+
+    def test_rejects_thread_counts_below_one(self, capsys):
+        for threads in ("0", "-3"):
+            code, _, err = run_cli(capsys, "estimate", "--formula", PAIR,
+                                   "--n", "5", "--samples", "10",
+                                   "--threads", threads)
+            assert code == 2
+            assert "threads must be >= 1" in err
 
 
 class TestTranslate:

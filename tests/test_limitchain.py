@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import partition_by, shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import BudgetExceededError, GameSolver, fast_equiv_shapes
+from limlaw import limitchain
 from limlaw.limitchain import (
     Chain,
     ChainState,
@@ -34,6 +36,7 @@ from limlaw.structures import (
     PartSequence,
     as_relational,
     enumerate_shapes,
+    shape_from_bits,
 )
 
 HALF = Fraction(1, 2)
@@ -345,6 +348,55 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_probability("convex", "true", n=5, samples=10, seed=0,
                                  method="guess")
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                estimate_probability("convex", "true", n=5, samples=10,
+                                     seed=0, threads=threads)
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        workers = []
+
+        class Recording(limitchain.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(limitchain.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(limitchain, "ThreadPoolExecutor", Recording)
+        kwargs = dict(n=40, samples=9000, seed=3)
+        capped = estimate_probability("convex", BATTERY[2].text, threads=64,
+                                      **kwargs)
+        assert workers == [2]
+        assert capped == estimate_probability("convex", BATTERY[2].text,
+                                              **kwargs)
+
+    def test_packed_walk_matches_chain_walk(self):
+        # n - 1 steps: none, a partial byte only, whole bytes, tails of 1, 3
+        # and 7 steps, and the first slice boundary with and without a tail
+        slice_steps = 8 * limitchain._SLICE_BYTES
+        sizes = (1, 2, 8, 9, 10, 17, 257, 1000,
+                 slice_steps + 1, slice_steps + 4)
+        for entry in (BATTERY[2], BATTERY[3], BATTERY[7]):
+            chain = limitchain.prepare_chain(entry.theory, entry.text)[3]
+            for n in sizes:
+                tables = (limitchain._step_table(chain, 8),
+                          limitchain._step_table(chain, (n - 1) % 8))
+                states = limitchain._walk_chunk(chain, tables, 5, 1, 24, n)
+                bits = limitchain._step_bits(5, 1, 24, n)
+                assert bits.shape == (24, n - 1)
+                assert [chain_walk(chain, shape_from_bits(row))
+                        for row in bits] == states.tolist(), (entry.name, n)
+
+    def test_memory_bounded_at_large_n(self):
+        # the per-chunk step array alone would be 4096 * 10^5 bytes (390 MiB)
+        tracemalloc.start()
+        try:
+            estimate_probability("convex", BATTERY[2].text, n=100_000,
+                                 samples=4096, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestVerification:

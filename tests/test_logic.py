@@ -15,6 +15,7 @@ from limlaw.logic import (
     FormulaSyntaxError,
     Iff,
     Implies,
+    MAX_NESTING,
     Not,
     Or,
     SIGNATURES,
@@ -58,6 +59,19 @@ class TestParser:
             parse("exists x. (x = x")
         with pytest.raises(FormulaSyntaxError):
             parse("x = y & @")
+
+    def test_nesting_cap(self):
+        def nested(depth):
+            return ("(" * depth + "x = x" + ")" * depth,
+                    "!" * depth + "x = x",
+                    "exists x. " * depth + "x = x",
+                    " & ".join(["x = x"] * (depth + 1)),
+                    " -> ".join(["x = x"] * (depth + 1)))
+        for text in nested(MAX_NESTING):
+            parse(text)
+        for text in nested(MAX_NESTING + 1):
+            with pytest.raises(FormulaSyntaxError, match="deeper than"):
+                parse(text)
 
     def test_unknown_symbol_for_signature(self):
         parse("exists x. exists y. x p1 y")  # fine without a signature
