@@ -20,8 +20,6 @@ from .structures import (
     hat,
     layered_to_convex,
     oplus,
-    replay,
-    sample_uniform,
 )
 from .logic import (
     SIGNATURES,
@@ -45,7 +43,6 @@ from .efgame import (
     fast_equiv_convex,
     fast_equiv_shapes,
     reduce_representative,
-    whole_segment,
 )
 from .limitchain import (
     Chain,
@@ -58,7 +55,6 @@ from .limitchain import (
     analyze_limit,
     build_chain,
     build_sentence_chain,
-    chain_from_json,
     chain_to_dot,
     chain_to_json,
     chain_walk,

@@ -70,7 +70,7 @@ def cmd_limit(args) -> int:
     theory = args.theory
     sentence = parse(_read_formula(args), SIGNATURES[theory])
     ensure_sentence(sentence)
-    analysis = analyze_limit(theory, sentence, k_override=args.k)
+    analysis = analyze_limit(theory, sentence)
     if args.verify:
         verify_chain_states(analysis.chain, GameSolver(budget=args.budget))
     print(f"theory: {theory}")
@@ -96,7 +96,7 @@ def cmd_estimate(args) -> int:
     sentence = parse(_read_formula(args), SIGNATURES[theory])
     ensure_sentence(sentence)
     result = estimate_probability(theory, sentence, args.n, args.samples,
-                                  args.seed, threads=args.threads)
+                                  args.seed)
     print(f"n: {args.n}")
     print(f"samples: {args.samples}")
     print(f"seed: {args.seed}")
@@ -115,7 +115,7 @@ def cmd_estimate(args) -> int:
         "half_width_99": result.half_width,
     }
     if args.compare_limit:
-        analysis = analyze_limit(theory, sentence, k_override=args.k)
+        analysis = analyze_limit(theory, sentence)
         gap = abs(result.estimate - analysis.probability)
         print(f"limit = {_fraction_text(analysis.probability)}")
         print(f"|estimate - limit| ≈ {_decimal_text(gap)}")
@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("limit", help="exact limiting probability of a sentence")
     p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
     _add_formula_options(p)
-    p.add_argument("--k", type=int, default=None,
-                   help="upward override of the quantifier depth")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="re-check state distinctness with the game solver")
@@ -222,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--compare-limit", action="store_true")
     p.add_argument("--emit-json", metavar="PATH")
     p.set_defaults(func=cmd_estimate)

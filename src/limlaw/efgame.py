@@ -16,11 +16,11 @@ cross-check the other:
   marked sub-segments independently.
 
 Both deciders are pure functions of their inputs.  The module-level caches
-only ever hold results of those pure functions keyed by immutable values,
-and entries are written atomically (single dict stores under the CPython
-GIL), so concurrent callers observe complete, correct entries; a
-:class:`GameSolver` instance is otherwise meant to be confined to one
-sweep.
+hold results of those pure functions keyed by immutable values.  They are
+process-global and unsynchronised: every caller in the process shares them,
+they grow until :func:`clear_fast_memo` empties them, and nothing here
+coordinates concurrent callers.  A :class:`GameSolver` instance
+owns its own memo and is meant to be confined to one sweep.
 """
 from __future__ import annotations
 

@@ -19,8 +19,6 @@ throughout, so the acceptance checks are equalities rather than tolerances.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -465,37 +463,24 @@ def _coerce_sentence(theory: str, sentence) -> Formula:
     return sentence
 
 
-def prepare_chain(theory: str, sentence, k_override: int | None = None
-                  ) -> tuple[Formula, Formula, int, Chain]:
-    """Translate, fix k, and build the sentence's step-automaton chain.
-
-    The chain does not depend on k: ``k_override`` only raises the
-    reported depth.
-    """
+def prepare_chain(theory: str, sentence) -> tuple[Formula, Formula, Chain]:
+    """Translate and build the sentence's step-automaton chain, whose ``k``
+    is the quantifier depth of the translated sentence."""
     sentence = _coerce_sentence(theory, sentence)
     translated = translate_to_convex(theory, sentence)
-    k = quantifier_depth(translated)
-    if k_override is not None:
-        if k_override < k:
-            raise ValueError(
-                f"k override {k_override} is below the quantifier depth {k}; "
-                f"only upward overrides are allowed")
-        k = k_override
-    return sentence, translated, k, build_sentence_chain(translated)
+    return sentence, translated, build_sentence_chain(translated)
 
 
-def analyze_limit(theory: str, sentence, k_override: int | None = None
-                  ) -> LimitAnalysis:
+def analyze_limit(theory: str, sentence) -> LimitAnalysis:
     """Exact limiting probability of the sentence, with the chain evidence.
 
     Raises ``PeriodicChainError`` if the chain is not fully aperiodic.
     """
-    sentence, translated, k, chain = prepare_chain(theory, sentence,
-                                                   k_override)
+    sentence, translated, chain = prepare_chain(theory, sentence)
     dist = limiting_distribution(chain)
     probability = sum((dist[s.id] for s in chain.states if s.accepting),
                       Fraction(0))
-    return LimitAnalysis(theory, sentence, translated, k, chain, dist,
+    return LimitAnalysis(theory, sentence, translated, chain.k, chain, dist,
                          probability)
 
 
@@ -526,18 +511,6 @@ def _wilson_half_width(hits: int, samples: int, z: float = _WILSON_Z99) -> float
     denom = 1.0 + z * z / samples
     return (z / denom) * math.sqrt(
         phat * (1.0 - phat) / samples + z * z / (4.0 * samples * samples))
-
-
-def _chunks(samples: int) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    idx = 0
-    while start < samples:
-        size = min(_CHUNK, samples - start)
-        out.append((idx, size))
-        start += size
-        idx += 1
-    return out
 
 
 def _step_bytes(seed: int, chunk_index: int, size: int, n: int):
@@ -597,15 +570,13 @@ def _walk_chunk(chain: Chain, tables: tuple[np.ndarray, np.ndarray],
 
 
 def estimate_probability(theory: str, sentence, n: int, samples: int,
-                         seed: int, *, method: str = "walk",
-                         threads: int = 1) -> EstimateResult:
+                         seed: int, *, method: str = "walk") -> EstimateResult:
     """Monte Carlo estimate with a 99% Wilson half-width.
 
     Draws uniform size-n structures as independent fair construction steps,
-    packed 8 to a byte (one generator per fixed-size chunk, derived from the
-    seed and the chunk index, so the result is deterministic and independent
-    of scheduling).  ``threads`` runs chunks in parallel; it must be >= 1 and
-    is capped at the CPU count.
+    packed 8 to a byte (one generator per chunk of ``_CHUNK`` samples,
+    derived from the seed and the chunk index, so the result is
+    deterministic).
 
     ``method="walk"`` classifies each sample by running its steps through
     the state machine, one table lookup per 8 steps, and reads satisfaction
@@ -618,37 +589,24 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if method not in ("walk", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    sentence, translated, k, chain = prepare_chain(theory, sentence)
+    sentence, translated, chain = prepare_chain(theory, sentence)
 
     if method == "walk":
         tables = (_step_table(chain, 8), _step_table(chain, (n - 1) % 8))
         accepting = np.array([bool(s.accepting) for s in chain.states])
-
-        def run_chunk(job: tuple[int, int]) -> int:
-            idx, size = job
+    hits = 0
+    for idx, start in enumerate(range(0, samples, _CHUNK)):
+        size = min(_CHUNK, samples - start)
+        if method == "walk":
             states = _walk_chunk(chain, tables, seed, idx, size, n)
-            return int(accepting[states].sum())
-    else:
-        def run_chunk(job: tuple[int, int]) -> int:
-            idx, size = job
-            count = 0
+            hits += int(accepting[states].sum())
+        else:
             for row in _step_bits(seed, idx, size, n):
                 shape = shape_from_bits(row)
                 if evaluate(as_relational(theory, shape), sentence):
-                    count += 1
-            return count
-
-    jobs = _chunks(samples)
-    threads = min(threads, os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_chunk, jobs))
-    else:
-        hits = sum(run_chunk(job) for job in jobs)
+                    hits += 1
     return EstimateResult(
         estimate=Fraction(hits, samples),
         half_width=_wilson_half_width(hits, samples),

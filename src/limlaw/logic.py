@@ -14,12 +14,13 @@ Grammar (ASCII spellings; ``p1``/``p2`` spell the two partial orders):
     REL        := "<" | "E" | "<1" | "<2" | "p1" | "p2" | "="
 
 The pretty-printer emits this same grammar and round-trips through
-:func:`parse` up to whitespace and redundant parentheses.
+:func:`parse` up to whitespace and redundant parentheses, for every formula
+at most ``MAX_NESTING // 2`` levels deep (see :func:`format_formula`).
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .structures import RELATION_SYMBOLS
@@ -59,69 +60,94 @@ _RESERVED_WORDS = KEYWORDS | {"E", "p1", "p2"}
 
 
 # --- abstract syntax ---------------------------------------------------------
+#
+# Every node carries ``nesting``, the number of levels of the tree below it,
+# set when the node is built, so checking a formula against MAX_NESTING
+# costs one attribute read however the formula was made.
 
 @dataclass(frozen=True)
 class Atom:
     symbol: str
     left: str
     right: str
+    nesting = 0
 
 
 @dataclass(frozen=True)
 class Equals:
     left: str
     right: str
+    nesting = 0
 
 
 @dataclass(frozen=True)
 class TrueFormula:
-    pass
+    nesting = 0
 
 
 @dataclass(frozen=True)
 class FalseFormula:
-    pass
+    nesting = 0
 
 
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
+    nesting: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nesting", self.body.nesting + 1)
 
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
     left: "Formula"
     right: "Formula"
+    nesting: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nesting",
+                           max(self.left.nesting, self.right.nesting) + 1)
 
 
 @dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Implies(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Exists:
+class Iff(_Binary):
+    pass
+
+
+@dataclass(frozen=True)
+class _Quantifier:
     var: str
     body: "Formula"
+    nesting: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nesting", self.body.nesting + 1)
 
 
 @dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Exists(_Quantifier):
+    pass
+
+
+@dataclass(frozen=True)
+class Forall(_Quantifier):
+    pass
 
 
 Formula = Union[Atom, Equals, TrueFormula, FalseFormula, Not, And, Or,
@@ -130,7 +156,6 @@ Formula = Union[Atom, Equals, TrueFormula, FalseFormula, Not, And, Or,
 TRUE = TrueFormula()
 FALSE = FalseFormula()
 
-_BINARY = (And, Or, Implies, Iff)
 _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 
 
@@ -141,7 +166,9 @@ _BINARY_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 #: of the text, nor the depth of the parsed formula tree (a chain of ``&`` or
 #: ``|`` nests to the left), may exceed it; deeper input is a
 #: :class:`FormulaSyntaxError`.  It keeps the parser and every recursive pass
-#: over a parsed formula well inside Python's default recursion limit.
+#: over a parsed formula well inside Python's default recursion limit.  The
+#: public functions below that walk a formula reject a tree deeper than this
+#: with the same error, so formulas built in code are bounded too.
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"<->|->|<1|<2|[<=|&!().]|[A-Za-z_][A-Za-z0-9_]*")
@@ -197,9 +224,7 @@ class _Parser:
         if self.i < len(self.tokens):
             raise FormulaSyntaxError(
                 f"trailing input starting with {self._peek()!r}", self._pos())
-        if _tree_depth(f) > MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula tree is deeper than {MAX_NESTING} levels", 0)
+        _check_nesting(f)
         return f
 
     def _nested(self, parse) -> Formula:
@@ -300,16 +325,12 @@ class _Parser:
         return Atom(rel, left, right)
 
 
-def _tree_depth(f: Formula) -> int:
-    deepest, stack = 0, [(f, 0)]
-    while stack:
-        g, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(g, _BINARY):
-            stack += [(g.left, depth + 1), (g.right, depth + 1)]
-        elif isinstance(g, (Not, Exists, Forall)):
-            stack.append((g.body, depth + 1))
-    return deepest
+def _check_nesting(f: Formula) -> None:
+    """Raise :class:`FormulaSyntaxError` if the formula tree is deeper than
+    :data:`MAX_NESTING`."""
+    if f.nesting > MAX_NESTING:
+        raise FormulaSyntaxError(
+            f"formula tree is deeper than {MAX_NESTING} levels", 0)
 
 
 def parse(text: str, sig: Signature | None = None) -> Formula:
@@ -324,7 +345,20 @@ def parse(text: str, sig: Signature | None = None) -> Formula:
 # --- printing ----------------------------------------------------------------
 
 def format_formula(f: Formula) -> str:
-    """Render in the canonical grammar; ``parse(format_formula(f)) == f``."""
+    """Render in the canonical grammar.
+
+    ``parse(format_formula(f)) == f`` holds whenever the printed text nests
+    at most :data:`MAX_NESTING` levels.  Each level of the tree prints at
+    most two (``!(``, or a parenthesized quantifier under a connective), so
+    it holds for every tree at most ``MAX_NESTING // 2`` levels deep.  Deeper
+    trees can print text that :func:`parse` rejects: ``exists x.`` over 50
+    nested ``!`` prints 101 levels.
+    """
+    _check_nesting(f)
+    return _format(f)
+
+
+def _format(f: Formula) -> str:
     if isinstance(f, Atom):
         return f"{f.left} {f.symbol} {f.right}"
     if isinstance(f, Equals):
@@ -334,17 +368,17 @@ def format_formula(f: Formula) -> str:
     if isinstance(f, FalseFormula):
         return "false"
     if isinstance(f, Not):
-        body = format_formula(f.body)
-        if isinstance(f.body, _BINARY):
+        body = _format(f.body)
+        if isinstance(f.body, _Binary):
             return f"!{body}"  # binary nodes already carry parentheses
         return f"!({body})"
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         op = _BINARY_OPS[type(f)]
         return f"({_subterm(f.left)} {op} {_subterm(f.right)})"
     if isinstance(f, Exists):
-        return f"exists {f.var}. {format_formula(f.body)}"
+        return f"exists {f.var}. {_format(f.body)}"
     if isinstance(f, Forall):
-        return f"forall {f.var}. {format_formula(f.body)}"
+        return f"forall {f.var}. {_format(f.body)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -352,22 +386,27 @@ def _subterm(f: Formula) -> str:
     # a quantifier directly under a binary connective must be parenthesized,
     # otherwise its body would swallow the rest of the chain
     if isinstance(f, (Exists, Forall)):
-        return f"({format_formula(f)})"
-    return format_formula(f)
+        return f"({_format(f)})"
+    return _format(f)
 
 
 # --- structural queries ------------------------------------------------------
 
 def quantifier_depth(f: Formula) -> int:
     """Maximum nesting depth of quantifiers."""
+    _check_nesting(f)
+    return _quantifier_depth(f)
+
+
+def _quantifier_depth(f: Formula) -> int:
     if isinstance(f, (Atom, Equals, TrueFormula, FalseFormula)):
         return 0
     if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, _BINARY):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
+        return _quantifier_depth(f.body)
+    if isinstance(f, _Binary):
+        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
     if isinstance(f, (Exists, Forall)):
-        return 1 + quantifier_depth(f.body)
+        return 1 + _quantifier_depth(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -380,7 +419,7 @@ def free_variables(f: Formula) -> frozenset[str]:
         return frozenset()
     if isinstance(f, Not):
         return free_variables(f.body)
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return free_variables(f.left) | free_variables(f.right)
     if isinstance(f, (Exists, Forall)):
         return free_variables(f.body) - {f.var}
@@ -395,7 +434,7 @@ def formula_symbols(f: Formula) -> frozenset[str]:
         return frozenset()
     if isinstance(f, Not):
         return formula_symbols(f.body)
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return formula_symbols(f.left) | formula_symbols(f.right)
     if isinstance(f, (Exists, Forall)):
         return formula_symbols(f.body)
@@ -403,6 +442,7 @@ def formula_symbols(f: Formula) -> frozenset[str]:
 
 
 def ensure_sentence(f: Formula) -> None:
+    _check_nesting(f)
     fv = free_variables(f)
     if fv:
         raise EvaluationError(
@@ -418,6 +458,7 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
     ``struct``; quantifiers range over all points.  Bound-variable shadowing
     uses the innermost binding.
     """
+    _check_nesting(f)
     scope = dict(env) if env else {}
     missing = free_variables(f) - scope.keys()
     if missing:
@@ -476,7 +517,7 @@ def _rewrite_atoms(f: Formula, table) -> Formula:
         return f
     if isinstance(f, Not):
         return Not(_rewrite_atoms(f.body, table))
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return type(f)(_rewrite_atoms(f.left, table),
                        _rewrite_atoms(f.right, table))
     if isinstance(f, Exists):
@@ -503,6 +544,7 @@ def translate_layered(f: Formula) -> Formula:
         raise SignatureError(
             f"relation {atom.symbol!r} is not in the layered signature")
 
+    _check_nesting(f)
     return _rewrite_atoms(f, table)
 
 
@@ -525,12 +567,14 @@ def translate_composition(f: Formula) -> Formula:
             f"relation {atom.symbol!r} is not in the composition/fractured "
             f"signature")
 
+    _check_nesting(f)
     return _rewrite_atoms(f, table)
 
 
 def translate_to_convex(theory: str, f: Formula) -> Formula:
     """Translate a sentence of any supported theory into the convex language."""
     if theory == "convex":
+        _check_nesting(f)
         foreign = formula_symbols(f) - SIGNATURES["convex"].relations
         if foreign:
             raise SignatureError(

@@ -6,12 +6,10 @@ sequence of their class/block/part sizes, so a single :class:`PartSequence`
 is the shared canonical form.  Points are numbered 1..n in <-order
 (respectively <1-order); relations are derived from prefix sums.
 
-Everything here is immutable; the only stateful input is the caller-owned
-random source used by :func:`sample_uniform`.
+Everything here is immutable.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from operator import index as _as_int
@@ -195,31 +193,6 @@ def shape_from_bits(bits) -> PartSequence:
         else:
             parts.append(1)
     return PartSequence(tuple(parts))
-
-
-def replay(steps) -> ConvexLinearOrder:
-    """Apply a step sequence starting from the one-point structure."""
-    def grows(step) -> bool:
-        if not isinstance(step, BuildStep):
-            raise ValueError(f"unknown build step {step!r}")
-        return step is BuildStep.HAT
-
-    return ConvexLinearOrder(shape_from_bits(map(grows, steps)))
-
-
-def sample_uniform(n: int, rng: random.Random) -> ConvexLinearOrder:
-    """Draw a uniformly random structure of size ``n``.
-
-    Uses ``n - 1`` independent fair binary choices, one per construction
-    step, which is exactly uniform over the 2^(n-1) isomorphism types.
-    """
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {n}")
-    if n == 1:
-        return BULLET
-    bits = rng.getrandbits(n - 1)
-    return ConvexLinearOrder(
-        shape_from_bits((bits >> i) & 1 for i in range(n - 1)))
 
 
 def enumerate_shapes(n: int) -> list[PartSequence]:

@@ -73,6 +73,26 @@ class TestParser:
             with pytest.raises(FormulaSyntaxError, match="deeper than"):
                 parse(text)
 
+    def test_deep_formula_built_in_code(self):
+        # a left-nested conjunction of 1501 atoms under one quantifier is
+        # 1501 levels deep; every entry point rejects it before recursing
+        from limlaw.limitchain import analyze_limit
+        from limlaw.stepauto import compile_sentence
+
+        body = Equals("x", "x")
+        for _ in range(1500):
+            body = And(body, Equals("x", "x"))
+        f = Exists("x", body)
+        view = as_relational("convex", PartSequence((1,)))
+        for entry_point in (quantifier_depth, format_formula, ensure_sentence,
+                            lambda g: evaluate(view, g), translate_layered,
+                            translate_composition,
+                            lambda g: translate_to_convex("convex", g),
+                            compile_sentence,
+                            lambda g: analyze_limit("convex", g)):
+            with pytest.raises(FormulaSyntaxError, match="deeper than"):
+                entry_point(f)
+
     def test_unknown_symbol_for_signature(self):
         parse("exists x. exists y. x p1 y")  # fine without a signature
         with pytest.raises(SignatureError):
@@ -145,6 +165,15 @@ class TestPrinter:
         for entry in BATTERY:
             f = parse(entry.text)
             assert parse(format_formula(f)) == f
+
+    def test_round_trip_up_to_half_the_cap(self):
+        # every tree level prints at most two levels of nesting ("!(")
+        f = Equals("x", "x")
+        for _ in range(MAX_NESTING // 2):
+            f = Not(f)
+        assert parse(format_formula(f)) == f
+        with pytest.raises(FormulaSyntaxError, match="deeper than"):
+            parse(format_formula(Exists("x", f)))
 
     def test_quantifier_under_connective_parenthesized(self):
         f = And(Forall("x", Equals("x", "x")), FALSE)

@@ -29,10 +29,10 @@ from limlaw.structures import (
     hat,
     layered_to_convex,
     oplus,
-    replay,
-    sample_uniform,
+    shape_from_bits,
     structure_view,
 )
+from limlaw.limitchain import _CHUNK, _step_bits
 
 parts_strategy = st.lists(st.integers(1, 5), min_size=1, max_size=7).map(tuple)
 
@@ -121,28 +121,32 @@ class TestDecompose:
         for shape in shapes:
             steps = decompose(ConvexLinearOrder(shape))
             assert len(steps) == n - 1
-            assert replay(steps).shape == shape
+            assert shape_from_bits(
+                step is BuildStep.HAT for step in steps) == shape
             seen.add(steps)
         assert len(seen) == 2 ** (n - 1)
 
     @given(parts_strategy)
     def test_replay_inverts_decompose(self, parts):
         c = ConvexLinearOrder(PartSequence(parts))
-        assert replay(decompose(c)) == c
+        assert ConvexLinearOrder(shape_from_bits(
+            step is BuildStep.HAT for step in decompose(c))) == c
+
+
+def _sampled_parts(n: int, draws: int, seed: int):
+    """Part tuples of ``draws`` size-n structures from the estimator's step
+    stream for ``seed``, chunk by chunk as the estimator draws them."""
+    for idx, start in enumerate(range(0, draws, _CHUNK)):
+        size = min(_CHUNK, draws - start)
+        for row in _step_bits(seed, idx, size, n):
+            yield shape_from_bits(row).parts
 
 
 class TestSampling:
-    def test_one_point(self):
-        assert sample_uniform(1, random.Random(0)) == BULLET
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sample_uniform(0, random.Random(0))
-
     def test_exact_path_counts_small(self):
         # every one of the 2^(n-1) step sequences yields a distinct shape
         for n in range(1, 7):
-            images = {replay(steps).shape
+            images = {shape_from_bits(step is BuildStep.HAT for step in steps)
                       for steps in self._all_step_seqs(n - 1)}
             assert len(images) == 2 ** (n - 1)
 
@@ -156,19 +160,15 @@ class TestSampling:
             yield rest + (BuildStep.HAT,)
 
     def test_n3_frequencies(self):
-        rng = random.Random(42)
         draws = 100_000
-        counts = Counter(sample_uniform(3, rng).shape.parts
-                         for _ in range(draws))
+        counts = Counter(_sampled_parts(3, draws, seed=42))
         assert set(counts) == {(1, 1, 1), (2, 1), (1, 2), (3,)}
         for c in counts.values():
             assert abs(c / draws - 0.25) < 5 * (0.25 * 0.75 / draws) ** 0.5
 
     def test_n6_frequencies_within_5_sigma(self):
-        rng = random.Random(2024)
         draws = 100_000
-        counts = Counter(sample_uniform(6, rng).shape.parts
-                         for _ in range(draws))
+        counts = Counter(_sampled_parts(6, draws, seed=2024))
         assert len(counts) == 32
         p = 1 / 32
         sigma = (p * (1 - p) / draws) ** 0.5
@@ -176,10 +176,8 @@ class TestSampling:
             assert abs(c / draws - p) < 5 * sigma
 
     def test_n8_chi_square(self):
-        rng = random.Random(77)
         draws = 200_000
-        counts = Counter(sample_uniform(8, rng).shape.parts
-                         for _ in range(draws))
+        counts = Counter(_sampled_parts(8, draws, seed=77))
         assert len(counts) == 128
         expected = draws / 128
         statistic = sum((c - expected) ** 2 / expected
