@@ -27,6 +27,7 @@ from .limitchain import (
     check_fully_aperiodic,
     estimate_probability,
     verify_chain_states,
+    walk_estimate,
 )
 from .logic import (
     SIGNATURES,
@@ -95,8 +96,13 @@ def cmd_estimate(args) -> int:
     theory = args.theory
     sentence = parse(_read_formula(args), SIGNATURES[theory])
     ensure_sentence(sentence)
-    result = estimate_probability(theory, sentence, args.n, args.samples,
-                                  args.seed)
+    if args.compare_limit:
+        # one chain serves both the estimate and the limit
+        analysis = analyze_limit(theory, sentence)
+        result = walk_estimate(analysis.chain, args.n, args.samples, args.seed)
+    else:
+        result = estimate_probability(theory, sentence, args.n, args.samples,
+                                      args.seed)
     print(f"n: {args.n}")
     print(f"samples: {args.samples}")
     print(f"seed: {args.seed}")
@@ -115,7 +121,6 @@ def cmd_estimate(args) -> int:
         "half_width_99": result.half_width,
     }
     if args.compare_limit:
-        analysis = analyze_limit(theory, sentence)
         gap = abs(result.estimate - analysis.probability)
         print(f"limit = {_fraction_text(analysis.probability)}")
         print(f"|estimate - limit| ≈ {_decimal_text(gap)}")

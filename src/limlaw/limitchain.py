@@ -569,6 +569,39 @@ def _walk_chunk(chain: Chain, tables: tuple[np.ndarray, np.ndarray],
     return state >> 8
 
 
+def _check_counts(n: int, samples: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
+def _result(hits: int, samples: int) -> EstimateResult:
+    return EstimateResult(
+        estimate=Fraction(hits, samples),
+        half_width=_wilson_half_width(hits, samples),
+        hits=hits,
+        samples=samples,
+    )
+
+
+def walk_estimate(chain: Chain, n: int, samples: int, seed: int
+                  ) -> EstimateResult:
+    """Monte Carlo estimate of the chain's accepting mass after the n-1
+    construction steps of a size-n structure: each sample's steps run
+    through the chain, one table lookup per 8 steps, and satisfaction is
+    read off the final state's label."""
+    _check_counts(n, samples)
+    tables = (_step_table(chain, 8), _step_table(chain, (n - 1) % 8))
+    accepting = np.array([bool(s.accepting) for s in chain.states])
+    hits = 0
+    for idx, start in enumerate(range(0, samples, _CHUNK)):
+        size = min(_CHUNK, samples - start)
+        states = _walk_chunk(chain, tables, seed, idx, size, n)
+        hits += int(accepting[states].sum())
+    return _result(hits, samples)
+
+
 def estimate_probability(theory: str, sentence, n: int, samples: int,
                          seed: int, *, method: str = "walk") -> EstimateResult:
     """Monte Carlo estimate with a 99% Wilson half-width.
@@ -578,41 +611,26 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
     derived from the seed and the chunk index, so the result is
     deterministic).
 
-    ``method="walk"`` classifies each sample by running its steps through
-    the state machine, one table lookup per 8 steps, and reads satisfaction
-    off the state's label — exact for every sample, and fast enough for
-    large n.  ``method="direct"`` unpacks the same bytes in the same bit
-    order and model checks every sampled structure with the evaluator; both
-    methods decide the same satisfaction bit per sample.
+    ``method="walk"`` builds the sentence's chain and runs ``walk_estimate``
+    on it — exact for every sample, and fast enough for large n.
+    ``method="direct"`` unpacks the same bytes in the same bit order and
+    model checks every sampled structure with the evaluator, without
+    building a chain; both methods decide the same satisfaction bit per
+    sample.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if method not in ("walk", "direct"):
-        raise ValueError(f"unknown method {method!r}")
-    sentence, translated, chain = prepare_chain(theory, sentence)
-
+    _check_counts(n, samples)
     if method == "walk":
-        tables = (_step_table(chain, 8), _step_table(chain, (n - 1) % 8))
-        accepting = np.array([bool(s.accepting) for s in chain.states])
+        return walk_estimate(prepare_chain(theory, sentence)[2], n, samples,
+                             seed)
+    if method != "direct":
+        raise ValueError(f"unknown method {method!r}")
+    sentence = _coerce_sentence(theory, sentence)
     hits = 0
     for idx, start in enumerate(range(0, samples, _CHUNK)):
-        size = min(_CHUNK, samples - start)
-        if method == "walk":
-            states = _walk_chunk(chain, tables, seed, idx, size, n)
-            hits += int(accepting[states].sum())
-        else:
-            for row in _step_bits(seed, idx, size, n):
-                shape = shape_from_bits(row)
-                if evaluate(as_relational(theory, shape), sentence):
-                    hits += 1
-    return EstimateResult(
-        estimate=Fraction(hits, samples),
-        half_width=_wilson_half_width(hits, samples),
-        hits=hits,
-        samples=samples,
-    )
+        for row in _step_bits(seed, idx, min(_CHUNK, samples - start), n):
+            if evaluate(as_relational(theory, shape_from_bits(row)), sentence):
+                hits += 1
+    return _result(hits, samples)
 
 
 # --- verification and export ----------------------------------------------------

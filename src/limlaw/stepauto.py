@@ -5,9 +5,18 @@ the steps as a word whose positions are the points (with an end marker for
 the last point), point order is position order and two points are
 class-equivalent exactly when every step strictly between them grows the
 last class.  Every sentence therefore defines a regular language of step
-strings: atoms compile to four-state track automata, connectives to
-products and complements, quantifiers to projection followed by subset
-construction, with eager minimization throughout.
+strings: atoms compile to two-track automata of at most four states,
+connectives to products and complements, quantifiers to projection
+followed by subset construction, with eager minimization throughout.
+
+Letters are integers.  Over the sorted free variables ``v_0 < v_1 < ...``,
+letter ``l`` has step bit ``l >> len(variables)`` (0 starts a new class
+after this point, 1 grows the last class, 2 marks the last point) and
+marks ``v_i`` at this point when bit ``i`` of ``l`` is set; the alphabet is
+``range(3 << len(variables))``.  A transition table is a tuple of rows, one
+per state, each a tuple of successors indexed by letter.  Every stage
+numbers its states breadth-first from the start (``_explore``) and merges
+equivalent ones (``_minimize``).
 
 The resulting minimal automaton, read with fair-coin transitions, is a
 quotient of the class chain for the sentence's quantifier depth:
@@ -21,7 +30,6 @@ large to materialize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .logic import (
     And,
@@ -42,34 +50,22 @@ from .logic import (
     formula_symbols,
 )
 
-_BITS = (0, 1, 2)  # 0: new singleton class, 1: grow last class, 2: end marker
-_END = 2
-
-
-def _subsets(variables: tuple[str, ...]):
-    out = [frozenset()]
-    for r in range(1, len(variables) + 1):
-        out.extend(frozenset(c) for c in combinations(variables, r))
-    return tuple(out)
-
-
-def _alphabet(variables: tuple[str, ...]):
-    return tuple((b, m) for b in _BITS for m in _subsets(variables))
+_END = 2  # step bit of the end marker; 0 starts a new class, 1 grows the last
 
 
 @dataclass(frozen=True)
 class _DFA:
-    """Complete DFA over (step bit, marked variables) letters."""
+    """Complete DFA; ``trans[q][l]`` is the successor of state ``q`` on
+    letter ``l`` of ``range(3 << len(variables))`` (only the two step
+    letters in the final automaton of ``compile_sentence``)."""
 
     variables: tuple[str, ...]
-    n_states: int
     start: int
     accept: frozenset[int]
-    trans: tuple[dict, ...]  # per state: letter -> state
+    trans: tuple[tuple[int, ...], ...]
 
 
-def _refine(classes: list[int], successors: list[tuple[int, ...]]
-            ) -> list[int]:
+def _refine(classes: list[int], successors) -> list[int]:
     """Moore partition refinement: the coarsest refinement of ``classes``
     (a class id per state) in which states of one class have successors in
     the same classes, letter by letter.  Classes are numbered in order of
@@ -86,198 +82,147 @@ def _refine(classes: list[int], successors: list[tuple[int, ...]]
 
 
 def _minimize(dfa: _DFA) -> _DFA:
-    letters = _alphabet(dfa.variables)
-    cls = _refine([q in dfa.accept for q in range(dfa.n_states)],
-                  [tuple(row[l] for l in letters) for row in dfa.trans])
-    n = len(set(cls))
-    rep_of = {}
-    for q in range(dfa.n_states):
-        rep_of.setdefault(cls[q], q)
-    trans = tuple(
-        {l: cls[dfa.trans[rep_of[c]][l]] for l in letters} for c in range(n)
-    )
-    accept = frozenset(c for c, q in rep_of.items() if q in dfa.accept)
-    return _DFA(dfa.variables, n, cls[dfa.start], accept, trans)
+    """Merge equivalent states.  A breadth-first numbered input gives a
+    breadth-first numbered output."""
+    cls = _refine([q in dfa.accept for q in range(len(dfa.trans))], dfa.trans)
+    reps = {}
+    for q, c in enumerate(cls):
+        reps.setdefault(c, q)
+    trans = tuple(tuple(map(cls.__getitem__, dfa.trans[q]))
+                  for q in reps.values())
+    accept = frozenset(c for c, q in reps.items() if q in dfa.accept)
+    return _DFA(dfa.variables, cls[dfa.start], accept, trans)
+
+
+def _explore(start, successors) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """Breadth-first numbering of the states reachable from ``start``, where
+    ``successors(state)`` lists a state's successors letter by letter.
+    Returns the states in order and the numbered transition rows."""
+    order = [start]
+    index = {start: 0}
+    trans = []
+    for state in order:
+        row = []
+        for succ in successors(state):
+            s = index.get(succ)
+            if s is None:
+                s = index[succ] = len(order)
+                order.append(succ)
+            row.append(s)
+        trans.append(tuple(row))
+    return order, tuple(trans)
 
 
 def _reachable(dfa: _DFA) -> _DFA:
-    letters = _alphabet(dfa.variables)
-    order = [dfa.start]
-    index = {dfa.start: 0}
-    for q in order:
-        for l in letters:
-            s = dfa.trans[q][l]
-            if s not in index:
-                index[s] = len(order)
-                order.append(s)
-    trans = tuple({l: index[dfa.trans[q][l]] for l in letters} for q in order)
-    accept = frozenset(index[q] for q in dfa.accept if q in index)
-    return _DFA(dfa.variables, len(order), 0, accept, trans)
-
-
-def _tidy(dfa: _DFA) -> _DFA:
-    return _minimize(_reachable(dfa))
+    """The part of ``dfa`` reachable from its start, numbered breadth-first
+    in letter order."""
+    order, trans = _explore(dfa.start, dfa.trans.__getitem__)
+    accept = frozenset(s for s, q in enumerate(order) if q in dfa.accept)
+    return _DFA(dfa.variables, 0, accept, trans)
 
 
 def _const(variables: tuple[str, ...], value: bool) -> _DFA:
-    letters = _alphabet(variables)
-    return _DFA(variables, 1, 0, frozenset({0} if value else ()),
-                ({l: 0 for l in letters},))
+    return _DFA(variables, 0, frozenset({0} if value else ()),
+                ((0,) * (3 << len(variables)),))
 
 
-def _atom_lt(x: str, y: str) -> _DFA:
-    variables = tuple(sorted({x, y}))
-    letters = _alphabet(variables)
-    NONE, XSEEN, ACC, DEAD = 0, 1, 2, 3
-    trans = []
-    for q in range(4):
-        row = {}
-        for bit, marks in letters:
-            if q == NONE:
-                if x in marks and y in marks:
-                    nxt = DEAD
-                elif x in marks:
-                    nxt = XSEEN
-                elif y in marks:
-                    nxt = DEAD
-                else:
-                    nxt = NONE
-            elif q == XSEEN:
-                nxt = ACC if y in marks else XSEEN
-            else:
-                nxt = q
-            row[(bit, marks)] = nxt
-        trans.append(row)
-    return _DFA(variables, 4, NONE, frozenset({ACC}), tuple(trans))
+# Two-track atoms run from NONE (no point marked yet) through MID (the
+# first of two distinct points marked) to the absorbing ACC or DEAD.  A step
+# rule maps (state, step bit, x marked, y marked) to the next state for
+# NONE and MID.
+_NONE, _MID, _ACC, _DEAD = range(4)
 
 
-def _atom_eq(x: str, y: str) -> _DFA:
-    variables = tuple(sorted({x, y}))
-    letters = _alphabet(variables)
-    NONE, ACC, DEAD = 0, 1, 2
-    trans = []
-    for q in range(3):
-        row = {}
-        for bit, marks in letters:
-            if q == NONE:
-                if x in marks and y in marks:
-                    nxt = ACC
-                elif x in marks or y in marks:
-                    nxt = DEAD
-                else:
-                    nxt = NONE
-            else:
-                nxt = q
-            row[(bit, marks)] = nxt
-        trans.append(row)
-    return _DFA(variables, 3, NONE, frozenset({ACC}), tuple(trans))
+def _lt_step(q: int, bit: int, x: bool, y: bool) -> int:
+    if q == _MID:
+        return _ACC if y else _MID
+    return _DEAD if y else _MID if x else _NONE
 
 
-def _atom_same_class(x: str, y: str) -> _DFA:
-    # class equivalence: equal positions, or an unbroken run of grow-steps
-    # from the first mark up to (excluding) the second
-    variables = tuple(sorted({x, y}))
-    letters = _alphabet(variables)
-    NONE, WAIT, ACC, DEAD = 0, 1, 2, 3
-    trans = []
-    for q in range(4):
-        row = {}
-        for bit, marks in letters:
-            marked = (x in marks) or (y in marks)
-            if q == NONE:
-                if x in marks and y in marks:
-                    nxt = ACC
-                elif marked:
-                    nxt = WAIT if bit == 1 else DEAD
-                else:
-                    nxt = NONE
-            elif q == WAIT:
-                if marked:
-                    nxt = ACC
-                else:
-                    nxt = WAIT if bit == 1 else DEAD
-            else:
-                nxt = q
-            row[(bit, marks)] = nxt
-        trans.append(row)
-    return _DFA(variables, 4, NONE, frozenset({ACC}), tuple(trans))
+def _eq_step(q: int, bit: int, x: bool, y: bool) -> int:
+    return _ACC if x and y else _DEAD if x or y else _NONE
+
+
+def _same_class_step(q: int, bit: int, x: bool, y: bool) -> int:
+    # equal positions, or an unbroken run of grow steps from the first mark
+    # up to (excluding) the second
+    if x and y or q == _MID and (x or y):
+        return _ACC
+    if q == _NONE and not (x or y):
+        return _NONE
+    return _MID if bit == 1 else _DEAD
+
+
+def _atom(x: str, y: str, step) -> _DFA:
+    """The atom of distinct variables x and y whose step rule is ``step``,
+    over the 12 letters of two tracks."""
+    variables = tuple(sorted((x, y)))
+    xbit, ybit = 1 << variables.index(x), 1 << variables.index(y)
+    rows = tuple(tuple(step(q, l >> 2, bool(l & xbit), bool(l & ybit))
+                       for l in range(12)) for q in (_NONE, _MID))
+    trans = rows + ((_ACC,) * 12, (_DEAD,) * 12)
+    return _minimize(_reachable(
+        _DFA(variables, _NONE, frozenset({_ACC}), trans)))
 
 
 def _lift(dfa: _DFA, variables: tuple[str, ...]) -> _DFA:
-    """Reinterpret over a larger variable set, ignoring the new marks."""
+    """Reinterpret over a larger sorted variable set, ignoring the new
+    marks: each letter is projected onto ``dfa``'s tracks."""
     if dfa.variables == variables:
         return dfa
-    letters = _alphabet(variables)
-    own = frozenset(dfa.variables)
-    trans = tuple(
-        {(b, m): dfa.trans[q][(b, m & own)] for b, m in letters}
-        for q in range(dfa.n_states)
-    )
-    return _DFA(variables, dfa.n_states, dfa.start, dfa.accept, trans)
+    k, own = len(variables), len(dfa.variables)
+    moves = [(variables.index(v), i) for i, v in enumerate(dfa.variables)]
+    project = [(l >> k << own) | sum((l >> j & 1) << i for j, i in moves)
+               for l in range(3 << k)]
+    trans = tuple(tuple(map(row.__getitem__, project)) for row in dfa.trans)
+    return _DFA(variables, dfa.start, dfa.accept, trans)
 
 
 def _product(a: _DFA, b: _DFA, op) -> _DFA:
     variables = tuple(sorted(set(a.variables) | set(b.variables)))
     a = _lift(a, variables)
     b = _lift(b, variables)
-    letters = _alphabet(variables)
-    index = {}
-    order = []
-
-    def state_id(pair):
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-        return index[pair]
-
-    state_id((a.start, b.start))
-    trans = []
-    for qa, qb in order:
-        trans.append({l: state_id((a.trans[qa][l], b.trans[qb][l]))
-                      for l in letters})
-    accept = frozenset(
-        i for i, (qa, qb) in enumerate(order)
-        if op(qa in a.accept, qb in b.accept)
-    )
-    return _tidy(_DFA(variables, len(order), 0, accept, tuple(trans)))
+    order, trans = _explore((a.start, b.start),
+                            lambda p: zip(a.trans[p[0]], b.trans[p[1]]))
+    accept = frozenset(i for i, (qa, qb) in enumerate(order)
+                       if op(qa in a.accept, qb in b.accept))
+    return _minimize(_DFA(variables, 0, accept, trans))
 
 
 def _complement(dfa: _DFA) -> _DFA:
-    accept = frozenset(q for q in range(dfa.n_states) if q not in dfa.accept)
-    return _DFA(dfa.variables, dfa.n_states, dfa.start, accept, dfa.trans)
+    accept = frozenset(range(len(dfa.trans))) - dfa.accept
+    return _DFA(dfa.variables, dfa.start, accept, dfa.trans)
 
 
 def _exists(var: str, body: _DFA) -> _DFA:
     """Project the variable's track: some placement of its single mark leads
     to acceptance.  Structures are never empty, so a vacuous quantifier is
-    the identity."""
+    the identity.
+
+    A subset state is the body's run with the mark not yet placed, which is
+    a single state, and the set of its runs with the mark placed."""
     if var not in body.variables:
         return body
-    variables = tuple(v for v in body.variables if v != var)
-    letters = _alphabet(variables)
-    start = frozenset({(body.start, False)})
-    index = {start: 0}
-    order = [start]
-    trans = []
-    for subset in order:
-        row = {}
-        for bit, marks in letters:
-            nxt = set()
-            for q, placed in subset:
-                nxt.add((body.trans[q][(bit, marks)], placed))
-                if not placed:
-                    nxt.add((body.trans[q][(bit, marks | {var})], True))
-            key = frozenset(nxt)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            row[(bit, marks)] = index[key]
-        trans.append(row)
-    accept = frozenset(
-        i for i, subset in enumerate(order)
-        if any(placed and q in body.accept for q, placed in subset)
-    )
-    return _tidy(_DFA(variables, len(order), 0, accept, tuple(trans)))
+    i = body.variables.index(var)
+    variables = body.variables[:i] + body.variables[i + 1:]
+    low = (1 << i) - 1
+    # each remaining letter with the variable's bit inserted at position i,
+    # unmarked and marked
+    letters = [(u, u | 1 << i)
+               for u in ((l >> i << i + 1) | (l & low)
+                         for l in range(3 << len(variables)))]
+    trans = body.trans
+
+    def successors(state):
+        q, placed = state
+        row, placed_rows = trans[q], [trans[p] for p in placed]
+        return [(row[u], frozenset([row[m], *(r[u] for r in placed_rows)]))
+                for u, m in letters]
+
+    order, rows = _explore((body.start, frozenset()), successors)
+    accept = frozenset(s for s, (q, placed) in enumerate(order)
+                       if not placed.isdisjoint(body.accept))
+    return _minimize(_DFA(variables, 0, accept, rows))
 
 
 def _compile(f: Formula) -> _DFA:
@@ -288,16 +233,16 @@ def _compile(f: Formula) -> _DFA:
     if isinstance(f, Equals):
         if f.left == f.right:
             return _const((f.left,), True)
-        return _atom_eq(f.left, f.right)
+        return _atom(f.left, f.right, _eq_step)
     if isinstance(f, Atom):
         if f.symbol == "<":
             if f.left == f.right:
                 return _const((f.left,), False)
-            return _atom_lt(f.left, f.right)
+            return _atom(f.left, f.right, _lt_step)
         if f.symbol == "E":
             if f.left == f.right:
                 return _const((f.left,), True)
-            return _atom_same_class(f.left, f.right)
+            return _atom(f.left, f.right, _same_class_step)
         raise SignatureError(
             f"relation {f.symbol!r} is not in the convex signature")
     if isinstance(f, Not):
@@ -341,39 +286,21 @@ def compile_sentence(f: Formula) -> StepAutomaton:
     if foreign:
         raise SignatureError(
             f"symbols {sorted(foreign)} not in the convex signature")
-    dfa = _tidy(_compile(f))
+    dfa = _compile(f)
     if dfa.variables:
         raise SignatureError("sentence compiled with leftover free tracks")
-    empty = frozenset()
     # a word ends with the end marker at the last point; acceptance of a bit
-    # prefix is acceptance after that final letter
-    accept_bit = [dfa.trans[q][(_END, empty)] in dfa.accept
-                  for q in range(dfa.n_states)]
-    # minimize the bit automaton against the derived acceptance
-    cls = _refine(accept_bit, [(row[(0, empty)], row[(1, empty)])
-                               for row in dfa.trans])
-    rep_of = {}
-    for q in range(dfa.n_states):
-        rep_of.setdefault(cls[q], q)
-    # restrict to states reachable by bit letters from the start
-    order = [cls[dfa.start]]
-    index = {cls[dfa.start]: 0}
-    new_t = []
-    grow_t = []
-    acc = []
-    for c in order:
-        q = rep_of[c]
-        for target_list, bit in ((new_t, 0), (grow_t, 1)):
-            t = cls[dfa.trans[q][(bit, empty)]]
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            target_list.append(index[t])
-        acc.append(accept_bit[q])
+    # prefix is acceptance after that final letter, and the step automaton
+    # reads the two step letters only
+    steps = _minimize(_reachable(_DFA(
+        (), dfa.start,
+        frozenset(q for q, row in enumerate(dfa.trans)
+                  if row[_END] in dfa.accept),
+        tuple(row[:_END] for row in dfa.trans))))
     return StepAutomaton(
-        n_states=len(order),
+        n_states=len(steps.trans),
         start=0,
-        step_new=tuple(new_t),
-        step_grow=tuple(grow_t),
-        accepting=tuple(acc),
+        step_new=tuple(row[0] for row in steps.trans),
+        step_grow=tuple(row[1] for row in steps.trans),
+        accepting=tuple(q in steps.accept for q in range(len(steps.trans))),
     )

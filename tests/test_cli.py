@@ -144,6 +144,22 @@ class TestEstimate:
         gap = [l for l in out.splitlines() if "|estimate - limit|" in l]
         assert gap and float(gap[0].split("≈")[1]) < 0.01
 
+    def test_compare_limit_compiles_once(self, capsys, monkeypatch):
+        from limlaw import limitchain
+
+        compiled = []
+        compile_sentence = limitchain.compile_sentence
+
+        def counted(f):
+            compiled.append(f)
+            return compile_sentence(f)
+
+        monkeypatch.setattr(limitchain, "compile_sentence", counted)
+        code, _, _ = run_cli(capsys, "estimate", "--formula", PAIR, "--n",
+                             "50", "--samples", "1000", "--compare-limit")
+        assert code == 0
+        assert len(compiled) == 1
+
     def test_trivially_false(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--formula", "false",
                                "--n", "5", "--samples", "100", "--seed", "1")

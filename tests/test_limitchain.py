@@ -306,6 +306,21 @@ class TestEstimate:
                                           method="direct")
             assert walk.hits == direct.hits, entry.name
 
+    def test_direct_builds_no_chain(self, monkeypatch):
+        from limlaw import limitchain
+
+        entry = BATTERY[2]
+        kwargs = dict(n=10, samples=1500, seed=7)
+        walk = estimate_probability(entry.theory, entry.text, **kwargs)
+
+        def refuse(f):
+            raise AssertionError("the direct estimate compiled the sentence")
+
+        monkeypatch.setattr(limitchain, "compile_sentence", refuse)
+        direct = estimate_probability(entry.theory, entry.text, **kwargs,
+                                      method="direct")
+        assert direct.hits == walk.hits
+
     def test_deterministic(self):
         kwargs = dict(n=100, samples=9000, seed=41)
         a = estimate_probability("convex", BATTERY[2].text, **kwargs)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from limlaw.battery import BATTERY
@@ -10,7 +12,7 @@ from limlaw.logic import (
     parse,
     translate_to_convex,
 )
-from limlaw.stepauto import compile_sentence
+from limlaw.stepauto import StepAutomaton, compile_sentence
 from limlaw.structures import PartSequence, as_relational, enumerate_shapes
 
 
@@ -69,17 +71,27 @@ class TestCompilation:
             compile_sentence(parse("exists x. exists y. x p1 y"))
 
     def test_minimal_sizes_of_known_languages(self):
+        # the state numbering is part of the output (--emit-json, --emit-dot):
+        # breadth-first from the start, new class before grow
         # first part >= 2 is decided by the first step alone
         first_two = parse(
             "exists x. exists y. (!(exists z. z < x) & x < y"
             " & !(exists z. (x < z & z < y)) & x E y)")
-        assert compile_sentence(first_two).n_states == 3
-        assert compile_sentence(parse("exists x. x = x")).n_states == 1
-        assert compile_sentence(parse("false")).n_states == 1
+        assert compile_sentence(first_two) == StepAutomaton(
+            n_states=3, start=0, step_new=(1, 1, 2), step_grow=(2, 1, 2),
+            accepting=(False, False, True))
+        assert compile_sentence(parse("exists x. x = x")) == StepAutomaton(
+            n_states=1, start=0, step_new=(0,), step_grow=(0,),
+            accepting=(True,))
+        assert compile_sentence(parse("false")) == StepAutomaton(
+            n_states=1, start=0, step_new=(0,), step_grow=(0,),
+            accepting=(False,))
         # last class >= 2 tracks only the previous step
         last_two = parse("exists x. exists y. (x < y & x E y"
                          " & !(exists z. y < z))")
-        assert compile_sentence(last_two).n_states == 2
+        assert compile_sentence(last_two) == StepAutomaton(
+            n_states=2, start=0, step_new=(0, 0), step_grow=(1, 1),
+            accepting=(False, True))
 
 
 class TestSentenceChain:
@@ -118,3 +130,34 @@ class TestSentenceChain:
                 assert solver.equiv(as_relational("convex", a),
                                     as_relational("convex", b), 3)
                 assert chain_walk(chain, a) == chain_walk(chain, b), (name,)
+
+
+def _ladder_b(names):
+    """The points named are pairwise E-inequivalent."""
+    pairs = [f"!({a} E {b})" for i, a in enumerate(names)
+             for b in names[i + 1:]]
+    prefix = "".join(f"exists {v}. " for v in names)
+    return prefix + "(" + " & ".join(pairs) + ")"
+
+
+# renamings that move every variable to another place in the sorted order,
+# and with it to another letter bit: x, y, z go from bits 0, 1, 2 to 1, 2, 0
+# and the ladder's w, x, y, z from 0, 1, 2, 3 to 2, 0, 3, 1
+_ROTATE = {"x": "b", "y": "c", "z": "a"}
+_SHUFFLE = {"w": "c", "x": "a", "y": "d", "z": "b"}
+
+
+class TestVariableNames:
+    @pytest.mark.parametrize(
+        "theory,text,names",
+        [(e.theory, e.text, _ROTATE) for e in BATTERY]
+        + [("convex", t, _ROTATE) for t in EXTRA_SENTENCES]
+        + [("convex", _ladder_b(["w", "x", "y", "z"]), _SHUFFLE)])
+    def test_sorted_order_does_not_matter(self, theory, text, names):
+        renamed = re.sub(r"\b[wxyz]\b", lambda m: names[m.group()], text)
+
+        def compiled(t):
+            f = parse(t, SIGNATURES[theory])
+            return compile_sentence(translate_to_convex(theory, f))
+
+        assert compiled(renamed) == compiled(text)
