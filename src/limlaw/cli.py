@@ -196,6 +196,17 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_formula_options(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="formula text in the canonical grammar")
@@ -222,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("estimate", help="Monte Carlo estimate at finite n")
     p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
     _add_formula_options(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    # checked here, before any chain is built
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compare-limit", action="store_true")
     p.add_argument("--emit-json", metavar="PATH")

@@ -15,11 +15,12 @@ cross-check the other:
   orders that splits the board at the chosen point and solves the two
   marked sub-segments independently.
 
-Both deciders are pure functions of their inputs.  The module-level caches
-hold results of those pure functions keyed by immutable values.  They are
-process-global and unsynchronised: every caller in the process shares them,
-they grow until :func:`clear_fast_memo` empties them, and nothing here
-coordinates concurrent callers.  A :class:`GameSolver` instance
+Both deciders are pure functions of their inputs.  The segment decider keeps
+two module-level caches keyed by immutable values: ``_type_memo`` maps
+(depth, segment) to a type id and ``_type_intern`` maps each type to its id.
+They are process-global and unsynchronised: every caller in the process
+shares them, they grow until :func:`clear_fast_memo` empties them, and
+nothing here coordinates concurrent callers.  A :class:`GameSolver` instance
 owns its own memo and is meant to be confined to one sweep.
 """
 from __future__ import annotations
@@ -64,51 +65,45 @@ class MarkedSegment:
         if not self.parts and (self.left_attached or self.right_attached):
             raise ValueError("an empty segment cannot be attached")
 
-    def _key(self):
-        return (self.parts, self.left_attached, self.right_attached)
-
 
 def whole_segment(shape: PartSequence) -> MarkedSegment:
     return MarkedSegment(shape.parts, False, False)
 
 
-def _segment(parts: tuple[int, ...], la: bool, ra: bool) -> MarkedSegment:
-    if not parts:
-        return _EMPTY_SEGMENT
-    return MarkedSegment(parts, la, ra)
-
-
-_EMPTY_SEGMENT = MarkedSegment((), False, False)
-
-# choice := (boundary type bits of the chosen point, left piece, right piece)
-_choice_cache: dict[MarkedSegment, tuple] = {}
+# Inside the decider a segment is the plain tuple (parts, left_attached,
+# right_attached); the empty gap is ((), False, False).
 _type_memo: dict[tuple, int] = {}
 _type_intern: dict[tuple, int] = {}
 
 
-def _choices(seg: MarkedSegment):
+def _choices(seg):
     """Every way to play a point of the segment: pick block i and split it
-    into l points left of the chosen point and the rest right of it."""
-    cached = _choice_cache.get(seg)
-    if cached is not None:
-        return cached
-    out = []
-    last = len(seg.parts) - 1
-    for i, size in enumerate(seg.parts):
-        bits = (seg.left_attached and i == 0, seg.right_attached and i == last)
-        before, after = seg.parts[:i], seg.parts[i + 1:]
+    into l points left of the chosen point and the rest right of it.  Yields
+    (boundary type bits of the chosen point, left piece, right piece)."""
+    parts, la, ra = seg
+    last = len(parts) - 1
+    for i, size in enumerate(parts):
+        bits = (la and i == 0, ra and i == last)
         for l in range(size):
             r = size - 1 - l
-            left = _segment(before + ((l,) if l else ()),
-                            seg.left_attached if (before or l) else False,
-                            l > 0)
-            right = _segment(((r,) if r else ()) + after,
-                             r > 0,
-                             seg.right_attached if (after or r) else False)
-            out.append((bits, left, right))
-    result = tuple(out)
-    _choice_cache[seg] = result
-    return result
+            left = parts[:i] + ((l,) if l else ())
+            right = ((r,) if r else ()) + parts[i + 1:]
+            yield (bits, (left, la and bool(left), l > 0),
+                   (right, r > 0, ra and bool(right)))
+
+
+def _type_id(seg, k: int) -> int:
+    if k <= 0:
+        return 0
+    key = (k, seg)
+    hit = _type_memo.get(key)
+    if hit is not None:
+        return hit
+    items = frozenset((bits, _type_id(left, k - 1), _type_id(right, k - 1))
+                      for bits, left, right in _choices(seg))
+    tid = _type_intern.setdefault((k, items), len(_type_intern) + 1)
+    _type_memo[key] = tid
+    return tid
 
 
 def segment_type_id(seg: MarkedSegment, k: int) -> int:
@@ -119,23 +114,7 @@ def segment_type_id(seg: MarkedSegment, k: int) -> int:
     segments are k-round equivalent exactly when their types coincide.
     Interning keeps the memo linear in the number of distinct segments.
     """
-    if k <= 0:
-        return 0
-    key = (k, seg.parts, seg.left_attached, seg.right_attached)
-    hit = _type_memo.get(key)
-    if hit is not None:
-        return hit
-    items = frozenset(
-        (bits, segment_type_id(left, k - 1), segment_type_id(right, k - 1))
-        for bits, left, right in _choices(seg)
-    )
-    intern_key = (k, items)
-    tid = _type_intern.get(intern_key)
-    if tid is None:
-        tid = len(_type_intern) + 1
-        _type_intern[intern_key] = tid
-    _type_memo[key] = tid
-    return tid
+    return _type_id((seg.parts, seg.left_attached, seg.right_attached), k)
 
 
 def fast_equiv_convex(s: MarkedSegment, t: MarkedSegment, k: int) -> bool:
@@ -154,12 +133,12 @@ def fast_equiv_convex(s: MarkedSegment, t: MarkedSegment, k: int) -> bool:
 
 
 def fast_equiv_shapes(a: PartSequence, b: PartSequence, k: int) -> bool:
-    return fast_equiv_convex(whole_segment(a), whole_segment(b), k)
+    return a == b or shape_type_id(a, k) == shape_type_id(b, k)
 
 
 def shape_type_id(shape: PartSequence, k: int) -> int:
     """Depth-k type of a whole structure (both boundary flags off)."""
-    return segment_type_id(whole_segment(shape), k)
+    return _type_id((shape.parts, False, False), k)
 
 
 def fast_memo_size() -> int:
@@ -168,7 +147,6 @@ def fast_memo_size() -> int:
 
 
 def clear_fast_memo() -> None:
-    _choice_cache.clear()
     _type_memo.clear()
     _type_intern.clear()
 
@@ -278,11 +256,9 @@ class GameSolver:
             for q in _responses(W, played_w, p, V.size):
                 if not _consistent(V, W, played_v, played_w, p, q):
                     continue
-                if side == 0:
-                    new_pairs = _insert_pair(pairs, (p, q))
-                else:
-                    new_pairs = _insert_pair(pairs, (q, p))
-                if self._win(A, B, new_pairs, r - 1):
+                # left coordinates are distinct, so this sorts by them
+                pair = (p, q) if side == 0 else (q, p)
+                if self._win(A, B, tuple(sorted((*pairs, pair))), r - 1):
                     found = True
                     break
             if not found:
@@ -297,19 +273,6 @@ class GameSolver:
         sa = (A.theory, A.shape.parts, tuple(x for x, _ in pairs))
         sb = (B.theory, B.shape.parts, tuple(y for _, y in pairs))
         return ("x", r) + ((sa, sb) if sa <= sb else (sb, sa))
-
-
-def _insert_pair(pairs, pair):
-    # keep pairs sorted by the left coordinate (consistency sorts the right
-    # coordinate identically)
-    out = list(pairs)
-    for idx, existing in enumerate(out):
-        if pair[0] < existing[0]:
-            out.insert(idx, pair)
-            break
-    else:
-        out.append(pair)
-    return tuple(out)
 
 
 def _consistent(V: StructureView, W: StructureView, played_v, played_w,

@@ -109,10 +109,6 @@ class Distribution:
     def __len__(self) -> int:
         return len(self.probabilities)
 
-    def max_norm_distance(self, other: "Distribution") -> Fraction:
-        return max(abs(a - b) for a, b in
-                   zip(self.probabilities, other.probabilities))
-
 
 #: Default ceiling on discovered classes before build_chain reports
 #: exhaustion instead of grinding on: the class count explodes with k (57 at

@@ -88,3 +88,8 @@ def partition_by(shapes, equiv) -> list[list]:
             reps.append(s)
             classes.append([s])
     return classes
+
+
+def max_norm_distance(p, q):
+    """Largest coordinate gap between two distributions."""
+    return max(abs(a - b) for a, b in zip(p.probabilities, q.probabilities))

@@ -160,6 +160,20 @@ class TestEstimate:
         assert code == 0
         assert len(compiled) == 1
 
+    def test_bad_counts_rejected_before_compiling(self, capsys, monkeypatch):
+        from limlaw import limitchain
+
+        def never(f):
+            raise AssertionError("compiled before the counts were checked")
+
+        monkeypatch.setattr(limitchain, "compile_sentence", never)
+        for argv in (("--n", "0", "--samples", "10"),
+                     ("--n", "5", "--samples", "0")):
+            with pytest.raises(SystemExit) as exc:
+                main(["estimate", "--formula", PAIR, *argv, "--compare-limit"])
+            assert exc.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+
     def test_trivially_false(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--formula", "false",
                                "--n", "5", "--samples", "100", "--seed", "1")

@@ -9,13 +9,17 @@ from limlaw.efgame import (
     GameConfig,
     GameSolver,
     MarkedSegment,
+    clear_fast_memo,
     duplicator_wins,
     equiv_k,
     fast_equiv_convex,
     fast_equiv_shapes,
+    fast_memo_size,
     reduce_representative,
+    shape_type_id,
     whole_segment,
 )
+from limlaw.limitchain import build_chain
 from limlaw.logic import SIGNATURES, SignatureError, evaluate, parse, \
     quantifier_depth, translate_to_convex
 from limlaw.structures import (
@@ -376,3 +380,27 @@ def test_whole_segment_flags_off():
     seg = whole_segment(PartSequence((2, 1)))
     assert seg.parts == (2, 1)
     assert not seg.left_attached and not seg.right_attached
+
+
+#: representatives of the 57 depth-2 classes, in discovery order
+DEPTH2_REPRESENTATIVES = (
+    "1 1,1 2 1,1,1 1,2 2,1 3 1,1,2 1,2,1 1,3 2,1,1 2,2 3,1 1,1,2,1 1,1,3 "
+    "1,2,2 1,3,1 2,1,2 2,2,1 2,3 3,1,1 3,2 1,1,2,2 1,1,3,1 1,2,3 1,3,2 "
+    "2,1,2,1 2,1,3 2,2,2 2,3,1 3,1,2 3,2,1 3,3 1,1,2,3 1,1,3,2 1,3,3 "
+    "2,1,2,2 2,1,3,1 2,2,3 2,3,2 3,1,2,1 3,1,3 3,2,2 3,3,1 1,1,3,3 "
+    "2,1,2,3 2,1,3,2 2,3,3 3,1,2,2 3,1,3,1 3,2,3 3,3,2 2,1,3,3 3,1,2,3 "
+    "3,1,3,2 3,3,3 3,1,3,3").split()
+
+
+def test_segment_decider_work_is_pinned():
+    # the number of (depth, segment) subproblems the decider solves; a
+    # change here is a change in how much work every class-chain build does
+    clear_fast_memo()
+    assert fast_memo_size() == 0
+    ids = {shape_type_id(s, 3) for s in shapes_up_to(10)}
+    assert (fast_memo_size(), len(ids)) == (3578, 997)
+    clear_fast_memo()
+    chain = build_chain(2)
+    assert [str(s.representative.shape) for s in chain.states] \
+        == DEPTH2_REPRESENTATIVES
+    assert fast_memo_size() == 319
