@@ -27,21 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .logic import SignatureError
+from .logic import BudgetExceededError, SignatureError
 from .structures import (
     ConvexLinearOrder,
     PartSequence,
     StructureView,
     structure_view,
 )
-
-
-class BudgetExceededError(RuntimeError):
-    """The node budget ran out before the game value was decided."""
-
-    def __init__(self, message: str, nodes: int):
-        super().__init__(message)
-        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -64,10 +56,6 @@ class MarkedSegment:
                 raise ValueError(f"segment parts must be >= 1, got {p}")
         if not self.parts and (self.left_attached or self.right_attached):
             raise ValueError("an empty segment cannot be attached")
-
-
-def whole_segment(shape: PartSequence) -> MarkedSegment:
-    return MarkedSegment(shape.parts, False, False)
 
 
 # Inside the decider a segment is the plain tuple (parts, left_attached,

@@ -34,10 +34,13 @@ from .efgame import (
 )
 from .stepauto import compile_sentence
 from .logic import (
+    MAX_EVALUATION_CELLS,
     Formula,
     SIGNATURES,
     ensure_sentence,
     evaluate,
+    evaluation_cells,
+    miniscope,
     parse,
     quantifier_depth,
     translate_to_convex,
@@ -399,11 +402,17 @@ def build_sentence_chain(translated: Formula) -> Chain:
     so they agree on the sentence after every suffix, and the quotient
     preserves both full aperiodicity and the limiting accepting mass.  It
     stays small for sentences whose class chain is far too large to build.
-    Each state carries the first structure reaching it; the automaton's
-    acceptance bit is re-checked against the model checker on that
-    representative.
+
+    The automaton is compiled from the :func:`miniscope` of ``translated``,
+    which compiles to the same automaton with narrower intermediate ones.
+    Each state carries the first structure reaching it, and the automaton's
+    acceptance bit is re-checked by the model checker on that
+    representative: on ``translated`` itself when it fits under
+    :data:`MAX_EVALUATION_CELLS`, so that the check shares no rewrite with
+    the compiler, and on the miniscoped form otherwise.
     """
-    auto = compile_sentence(translated)
+    scoped = miniscope(translated)
+    auto = compile_sentence(scoped)
     reps: list[ConvexLinearOrder | None] = [None] * auto.n_states
     reps[auto.start] = BULLET
     order = [auto.start]
@@ -420,7 +429,9 @@ def build_sentence_chain(translated: Formula) -> Chain:
         if rep is None:
             raise InternalVerificationError(
                 f"automaton state {q} unreachable by construction steps")
-        checked = evaluate(as_relational("convex", rep.shape), translated)
+        fits = evaluation_cells(translated, rep.size) <= MAX_EVALUATION_CELLS
+        checked = evaluate(as_relational("convex", rep.shape),
+                           translated if fits else scoped)
         if checked != auto.accepting[q]:
             raise InternalVerificationError(
                 f"automaton acceptance disagrees with the model checker on "

@@ -23,7 +23,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-from .structures import RELATION_SYMBOLS
+import numpy as np
+
+from .structures import RELATION_SYMBOLS, StructureView
 
 
 class FormulaSyntaxError(ValueError):
@@ -40,6 +42,15 @@ class SignatureError(ValueError):
 
 class EvaluationError(ValueError):
     """Raised when evaluation hits an unassigned free variable."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A search or an evaluation ran past its budget; ``nodes`` is the
+    count (game nodes, classes, cells) that went over."""
+
+    def __init__(self, message: str, nodes: int):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,8 @@ _RESERVED_WORDS = KEYWORDS | {"E", "p1", "p2"}
 # --- abstract syntax ---------------------------------------------------------
 #
 # Every node carries ``nesting``, the number of levels of the tree below it,
-# set when the node is built, so checking a formula against MAX_NESTING
+# and ``free``, its free variables, both set when the node is built, so
+# checking a formula against MAX_NESTING or asking for its free variables
 # costs one attribute read however the formula was made.
 
 @dataclass(frozen=True)
@@ -71,6 +83,10 @@ class Atom:
     left: str
     right: str
     nesting = 0
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "free", frozenset((self.left, self.right)))
 
 
 @dataclass(frozen=True)
@@ -78,25 +94,33 @@ class Equals:
     left: str
     right: str
     nesting = 0
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "free", frozenset((self.left, self.right)))
 
 
 @dataclass(frozen=True)
 class TrueFormula:
     nesting = 0
+    free = frozenset()
 
 
 @dataclass(frozen=True)
 class FalseFormula:
     nesting = 0
+    free = frozenset()
 
 
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
     nesting: int = field(init=False, repr=False, compare=False)
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nesting", self.body.nesting + 1)
+        object.__setattr__(self, "free", self.body.free)
 
 
 @dataclass(frozen=True)
@@ -104,10 +128,12 @@ class _Binary:
     left: "Formula"
     right: "Formula"
     nesting: int = field(init=False, repr=False, compare=False)
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nesting",
                            max(self.left.nesting, self.right.nesting) + 1)
+        object.__setattr__(self, "free", self.left.free | self.right.free)
 
 
 @dataclass(frozen=True)
@@ -135,9 +161,11 @@ class _Quantifier:
     var: str
     body: "Formula"
     nesting: int = field(init=False, repr=False, compare=False)
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nesting", self.body.nesting + 1)
+        object.__setattr__(self, "free", self.body.free - {self.var})
 
 
 @dataclass(frozen=True)
@@ -411,19 +439,7 @@ def _quantifier_depth(f: Formula) -> int:
 
 
 def free_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.left, f.right})
-    if isinstance(f, Equals):
-        return frozenset({f.left, f.right})
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, _Binary):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return f.free
 
 
 def formula_symbols(f: Formula) -> frozenset[str]:
@@ -449,63 +465,281 @@ def ensure_sentence(f: Formula) -> None:
             f"not a sentence: free variables {sorted(fv)}")
 
 
+# --- miniscoping ---------------------------------------------------------------
+
+def miniscope(f: Formula) -> Formula:
+    """An equivalent formula with every quantifier pushed as far in as it
+    goes, which narrows the set of variables free at once.
+
+    ``exists x`` moves inside the conjuncts that do not mention ``x``,
+    distributes over ``|`` and commutes with an ``exists`` below it when
+    that lets it move further in; ``forall x`` does the dual (moves inside
+    the disjuncts that do not mention ``x``, distributes over ``&``,
+    commutes with ``forall``).  A quantifier whose variable is not free in
+    its body is dropped: structures are never empty.  A result nesting
+    deeper than :data:`MAX_NESTING` (flattening a balanced chain can deepen
+    it) is not returned; ``f`` is returned instead.
+    """
+    _check_nesting(f)
+    scoped = _miniscope(f)
+    return scoped if scoped.nesting <= MAX_NESTING else f
+
+
+def _miniscope(f: Formula) -> Formula:
+    """Miniscoped ``f``; a subtree that does not change is returned as is."""
+    if isinstance(f, Not):
+        body = _miniscope(f.body)
+        return f if body is f.body else Not(body)
+    if isinstance(f, _Binary):
+        left, right = _miniscope(f.left), _miniscope(f.right)
+        if left is f.left and right is f.right:
+            return f
+        return type(f)(left, right)
+    if isinstance(f, _Quantifier):
+        body = _miniscope(f.body)
+        pushed = _push(type(f), f.var, body)
+        if body is f.body and type(pushed) is type(f) and pushed.body is body:
+            return f
+        return pushed
+    return f
+
+
+def _push(quantifier: type, var: str, body: Formula) -> Formula:
+    """``quantifier(var, body)`` with the quantifier moved in; ``body`` is
+    already miniscoped."""
+    if var not in body.free:
+        return body
+    spread, pulled = (Or, And) if quantifier is Exists else (And, Or)
+    if isinstance(body, spread):
+        return spread(_push(quantifier, var, body.left),
+                      _push(quantifier, var, body.right))
+    if isinstance(body, pulled):
+        parts = _operands(body, pulled)
+        outside = [p for p in parts if var not in p.free]
+        if outside:
+            inside = _chain(pulled, [p for p in parts if var in p.free])
+            return _chain(pulled, outside + [_push(quantifier, var, inside)])
+    elif isinstance(body, quantifier):
+        # swap the two quantifiers when the inner one can then move in
+        inner = _push(quantifier, var, body.body)
+        if not (isinstance(inner, quantifier) and inner.body is body.body):
+            return _push(quantifier, body.var, inner)
+    return quantifier(var, body)
+
+
+def _operands(f: Formula, op: type) -> list[Formula]:
+    """The operands of a chain of ``op`` nodes, left to right."""
+    parts = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, op):
+            stack += (g.right, g.left)
+        else:
+            parts.append(g)
+    return parts
+
+
+def _chain(op: type, parts: list[Formula]) -> Formula:
+    """The left-nested ``op`` chain of ``parts``."""
+    f = parts[0]
+    for p in parts[1:]:
+        f = op(f, p)
+    return f
+
+
 # --- satisfaction ------------------------------------------------------------
+#
+# The evaluator compiles a formula into a program of array operations, run
+# on a value stack.  Each variable bound by a quantifier gets one boolean
+# axis; the value of a node is an array that is ``size`` long along the
+# axes of its free bound variables and 1 long along every other axis, so
+# connectives are broadcasts and quantifiers are reductions.  A quantifier
+# takes the lowest axis not held by a variable free at it, so a node costs
+# ``size ** (its free bound variables)`` cells however many names the
+# formula uses.  Variables free in the whole formula are points from
+# ``env`` and select rows or columns of the relation matrices.
+
+#: The most cells :func:`evaluate` may allocate for one node.  A node with
+#: ``w`` free bound variables counts ``max(size, 2) ** w`` cells, and a
+#: relation matrix counts as a node with two.  Past the bound,
+#: :func:`evaluate` raises :class:`BudgetExceededError` before it allocates
+#: anything.  Counting at least 2 per axis keeps the number of array axes
+#: at most 22, well inside NumPy's limit, at every size.
+MAX_EVALUATION_CELLS = 1 << 22
+
+_RELATION, _CONSTANT, _NOT, _AND, _OR, _IMPLIES, _IFF, _EXISTS, _FORALL = \
+    range(9)
+_OPCODES = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF,
+            Exists: _EXISTS, Forall: _FORALL}
+_ANY, _ALL = np.logical_or.reduce, np.logical_and.reduce
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A formula compiled for :func:`evaluate`.
+
+    ``steps`` run in order; an operand of ``_RELATION`` is an axis (int) or
+    the name of a free variable (str).  ``width`` is the most bound
+    variables free at one node, counting two for a relation matrix."""
+
+    steps: tuple[tuple, ...]
+    symbols: frozenset[str]
+    axes: int
+    width: int
+
+
+def _program(f: Formula) -> _Program:
+    """The program of ``f``, compiled on first use and kept on the node."""
+    program = vars(f).get("_program")
+    if program is None:
+        program = _compile_program(f)
+        object.__setattr__(f, "_program", program)
+    return program
+
+
+def _compile_program(f: Formula) -> _Program:
+    steps = []
+    symbols = set()
+    axes = width = 0
+    # pre-order, right operand first; reversed, it is post-order
+    work: list[tuple[Formula, dict[str, int]]] = [(f, {})]
+    while work:
+        g, scope = work.pop()
+        if isinstance(g, (Atom, Equals)):
+            symbol = g.symbol if isinstance(g, Atom) else "="
+            symbols.add(symbol)
+            width = max(width, 2)
+            steps.append((_RELATION, symbol, scope.get(g.left, g.left),
+                          scope.get(g.right, g.right)))
+        elif isinstance(g, (TrueFormula, FalseFormula)):
+            steps.append((_CONSTANT, isinstance(g, TrueFormula)))
+        elif isinstance(g, Not):
+            steps.append((_NOT,))
+            work.append((g.body, scope))
+        elif isinstance(g, _Binary):
+            steps.append((_OPCODES[type(g)],))
+            work += ((g.left, scope), (g.right, scope))
+        elif isinstance(g, _Quantifier):
+            held = {scope[v] for v in g.free if v in scope}
+            axis = min(set(range(len(held) + 1)) - held)
+            axes = max(axes, axis + 1)
+            # a connective's free variables are those of its operands, so
+            # the widest node is an atom or the body of a quantifier
+            width = max(width, len(held) + (g.var in g.body.free))
+            steps.append((_OPCODES[type(g)], axis))
+            work.append((g.body, {**scope, g.var: axis}))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    steps.reverse()
+    symbols.discard("=")
+    return _Program(tuple(steps), frozenset(symbols), axes, width)
+
+
+def evaluation_cells(f: Formula, size: int) -> int:
+    """Cells of the largest node :func:`evaluate` allocates for ``f`` on a
+    structure of ``size`` points, as compared with
+    :data:`MAX_EVALUATION_CELLS`."""
+    _check_nesting(f)
+    return max(size, 2) ** _program(f).width
+
+
+def _holds_matrices(struct):
+    """Relation matrices of a view that offers only ``holds``."""
+    points = range(1, struct.size + 1)
+    built: dict[str, np.ndarray] = {}
+
+    def matrix(symbol: str) -> np.ndarray:
+        if symbol not in built:
+            built[symbol] = (np.eye(struct.size, dtype=bool) if symbol == "="
+                             else np.array([[struct.holds(symbol, i, j)
+                                             for j in points]
+                                            for i in points], dtype=bool))
+        return built[symbol]
+    return matrix
+
+
+def _place(m: np.ndarray, a, b, env: dict[str, int], shape: list[int]
+           ) -> np.ndarray:
+    """The atom with relation matrix ``m`` on operands ``a`` and ``b``
+    (axes or free variable names), laid out on the axes of ``shape``."""
+    n = len(m)
+    if isinstance(a, str):
+        row = m[env[a] - 1]
+        if isinstance(b, str):
+            return np.full(shape, row[env[b] - 1])
+        shape[b] = n
+        return row.reshape(shape)
+    if isinstance(b, str):
+        shape[a] = n
+        return m[:, env[b] - 1].reshape(shape)
+    shape[a] = shape[b] = n
+    if a == b:
+        return m.diagonal().reshape(shape)
+    return (m if a < b else m.T).reshape(shape)
+
 
 def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
     """Standard first-order satisfaction on a relational view.
 
     ``env`` must assign every free variable of ``f`` to a point of
     ``struct``; quantifiers range over all points.  Bound-variable shadowing
-    uses the innermost binding.
+    uses the innermost binding.  Raises :class:`BudgetExceededError` if a
+    node would hold more than :data:`MAX_EVALUATION_CELLS` cells (see
+    :func:`evaluation_cells`).
+
+    A :class:`~limlaw.structures.StructureView` supplies its cached
+    relation matrices; any other view is read through ``holds``.
     """
     _check_nesting(f)
-    scope = dict(env) if env else {}
-    missing = free_variables(f) - scope.keys()
+    program = _program(f)
+    env = env or {}
+    missing = f.free - env.keys()
     if missing:
         raise EvaluationError(f"unassigned free variables {sorted(missing)}")
-    foreign = formula_symbols(f) - struct.signature
+    foreign = program.symbols - struct.signature
     if foreign:
         raise SignatureError(
             f"symbols {sorted(foreign)} not in the {struct.theory} signature")
     n = struct.size
-    holds = struct.holds
-
-    def rec(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return holds(g.symbol, scope[g.left], scope[g.right])
-        if isinstance(g, Equals):
-            return scope[g.left] == scope[g.right]
-        if isinstance(g, TrueFormula):
-            return True
-        if isinstance(g, FalseFormula):
-            return False
-        if isinstance(g, Not):
-            return not rec(g.body)
-        if isinstance(g, And):
-            return rec(g.left) and rec(g.right)
-        if isinstance(g, Or):
-            return rec(g.left) or rec(g.right)
-        if isinstance(g, Implies):
-            return (not rec(g.left)) or rec(g.right)
-        if isinstance(g, Iff):
-            return rec(g.left) == rec(g.right)
-        if isinstance(g, (Exists, Forall)):
-            saved = scope.get(g.var)
-            want = isinstance(g, Exists)
-            result = not want
-            for p in range(1, n + 1):
-                scope[g.var] = p
-                if rec(g.body) == want:
-                    result = want
-                    break
-            if saved is None:
-                scope.pop(g.var, None)
+    for name in f.free:
+        if not 1 <= env[name] <= n:
+            raise EvaluationError(
+                f"{name} = {env[name]} is not a point of a structure of "
+                f"size {n}")
+    cells = evaluation_cells(f, n)
+    if cells > MAX_EVALUATION_CELLS:
+        raise BudgetExceededError(
+            f"evaluating needs {cells} cells for one node on a structure of "
+            f"size {n}, over the bound of {MAX_EVALUATION_CELLS}", cells)
+    matrix = (struct.matrix if isinstance(struct, StructureView)
+              else _holds_matrices(struct))
+    flat = [1] * program.axes
+    stack: list[np.ndarray] = []
+    push, pop = stack.append, stack.pop
+    for step in program.steps:
+        op = step[0]
+        if op == _RELATION:
+            push(_place(matrix(step[1]), step[2], step[3], env, flat[:]))
+        elif op == _CONSTANT:
+            push(np.full(flat, step[1]))
+        elif op == _NOT:
+            push(~pop())
+        elif op == _EXISTS:
+            push(_ANY(pop(), axis=step[1], keepdims=True))
+        elif op == _FORALL:
+            push(_ALL(pop(), axis=step[1], keepdims=True))
+        else:
+            right, left = pop(), pop()
+            if op == _AND:
+                push(left & right)
+            elif op == _OR:
+                push(left | right)
+            elif op == _IMPLIES:
+                push(~left | right)
             else:
-                scope[g.var] = saved
-            return result
-        raise TypeError(f"not a formula: {g!r}")
-
-    return rec(f)
+                push(left == right)
+    return bool(pop())
 
 
 # --- atomic rewritings between theories --------------------------------------

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import index as _as_int
 
+import numpy as np
+
 THEORIES = ("convex", "layered", "composition", "fractured")
 
 #: Binary relation symbols of each theory's signature (equality is always
@@ -227,11 +229,12 @@ class StructureView:
     """Uniform read-only relational view of a structure.
 
     Exposes ``size`` and an evaluator ``holds(symbol, i, j)`` for each binary
-    relation symbol of the theory's signature, on points 1..size.
+    relation symbol of the theory's signature, on points 1..size, and the
+    same relations as boolean matrices (``matrix``), built on first use.
     """
 
     __slots__ = ("theory", "shape", "size", "signature", "symbols",
-                 "cls_of", "class_starts", "_rel")
+                 "cls_of", "class_starts", "_rel", "_matrices")
 
     def __init__(self, theory: str, shape: PartSequence):
         if theory not in THEORIES:
@@ -253,6 +256,7 @@ class StructureView:
         self.cls_of = tuple(cls_of)
         self.class_starts = tuple(starts)
         self._rel = self._build_relations()
+        self._matrices: dict[str, np.ndarray] = {}
 
     def _build_relations(self):
         cls_of = self.cls_of
@@ -291,6 +295,38 @@ class StructureView:
                 f"relation {symbol!r} not in the {self.theory} signature"
             ) from None
         return rel(i, j)
+
+    def matrix(self, symbol: str) -> np.ndarray:
+        """Read-only ``size`` x ``size`` boolean matrix of a relation symbol
+        of the signature, or of ``=``: entry ``[i - 1, j - 1]`` is
+        ``holds(symbol, i, j)``.  Built once per view."""
+        m = self._matrices.get(symbol)
+        if m is None:
+            if symbol != "=" and symbol not in self._rel:
+                raise ValueError(
+                    f"relation {symbol!r} not in the {self.theory} signature")
+            m = self._build_matrix(symbol)
+            m.setflags(write=False)
+            self._matrices[symbol] = m
+        return m
+
+    def _build_matrix(self, symbol: str) -> np.ndarray:
+        if symbol == "=":
+            return np.eye(self.size, dtype=bool)
+        point = np.arange(self.size)
+        cls = np.array(self.cls_of[1:])
+        if symbol in ("<", "<1"):
+            return point[:, None] < point
+        if symbol == "E":
+            return cls[:, None] == cls
+        if symbol == "p1":
+            return cls[:, None] < cls
+        lt = point[:, None] < point
+        same = cls[:, None] == cls
+        if symbol == "<2":
+            # within a block <2 reverses <1; across blocks they agree
+            return np.where(same, lt.T, lt)
+        return same & lt  # p2
 
     def points(self) -> range:
         return range(1, self.size + 1)

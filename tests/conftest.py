@@ -3,13 +3,88 @@
 The relation oracles here rebuild every relation from first principles
 (explicit point loops, block reversal for the permutation values), entirely
 independent of the library's prefix-sum views, so view/oracle agreement is a
-real check rather than a tautology.
+real check rather than a tautology.  :func:`recursive_evaluate` is the model
+checker oracle: plain recursion over the formula, one point at a time through
+``holds``, against which the library's array evaluator is tested.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
+from limlaw.logic import (
+    And,
+    Atom,
+    Equals,
+    Exists,
+    FalseFormula,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    TrueFormula,
+)
 from limlaw.structures import PartSequence, enumerate_shapes
+
+
+def recursive_evaluate(struct, f, env=None) -> bool:
+    """First-order satisfaction by direct recursion: quantifiers loop over
+    the points, atoms call ``struct.holds``.  ``env`` assigns the free
+    variables; shadowing uses the innermost binding."""
+    scope = dict(env) if env else {}
+    points = range(1, struct.size + 1)
+
+    def rec(g) -> bool:
+        if isinstance(g, Atom):
+            return struct.holds(g.symbol, scope[g.left], scope[g.right])
+        if isinstance(g, Equals):
+            return scope[g.left] == scope[g.right]
+        if isinstance(g, TrueFormula):
+            return True
+        if isinstance(g, FalseFormula):
+            return False
+        if isinstance(g, Not):
+            return not rec(g.body)
+        if isinstance(g, And):
+            return rec(g.left) and rec(g.right)
+        if isinstance(g, Or):
+            return rec(g.left) or rec(g.right)
+        if isinstance(g, Implies):
+            return (not rec(g.left)) or rec(g.right)
+        if isinstance(g, Iff):
+            return rec(g.left) == rec(g.right)
+        if isinstance(g, (Exists, Forall)):
+            saved = scope.get(g.var)
+            want = isinstance(g, Exists)
+            result = not want
+            for p in points:
+                scope[g.var] = p
+                if rec(g.body) == want:
+                    result = want
+                    break
+            if saved is None:
+                scope.pop(g.var, None)
+            else:
+                scope[g.var] = saved
+            return result
+        raise TypeError(f"not a formula: {g!r}")
+
+    return rec(f)
+
+
+def _load_closed_form_sentences():
+    """``perfbench/sentences.py``: ladders and families written out as text
+    with their limits derived by hand."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "sentences.py"
+    spec = importlib.util.spec_from_file_location("closed_form_sentences", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+closed_form = _load_closed_form_sentences()
 
 
 def class_assignment(parts) -> list[int]:

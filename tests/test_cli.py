@@ -316,6 +316,18 @@ class TestCheck:
                              "--formula", "exists x. exists y. x <2 y")
         assert code == 2
 
+    def test_wide_sentence_exit_3(self, capsys):
+        # seven variables free at once on 40 points is 40^7 cells for one
+        # node, refused before any is allocated
+        cycle = ("exists a. exists b. exists c. exists d. exists e. "
+                 "exists f. exists g. (a < b & b < c & c < d & d < e "
+                 "& e < f & f < g & g < a)")
+        code, out, err = run_cli(capsys, "check", ",".join(["1"] * 40),
+                                 "--formula", cycle)
+        assert code == 3
+        assert out == ""
+        assert "budget exhausted" in err and str(40 ** 7) in err
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

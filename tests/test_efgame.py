@@ -17,7 +17,6 @@ from limlaw.efgame import (
     fast_memo_size,
     reduce_representative,
     shape_type_id,
-    whole_segment,
 )
 from limlaw.limitchain import build_chain
 from limlaw.logic import SIGNATURES, SignatureError, evaluate, parse, \
@@ -374,12 +373,6 @@ class TestReduceRepresentative:
             k = rng.randint(0, 2)
             reduced = reduce_representative(c, k)
             assert solver.equiv(reduced, c, k)
-
-
-def test_whole_segment_flags_off():
-    seg = whole_segment(PartSequence((2, 1)))
-    assert seg.parts == (2, 1)
-    assert not seg.left_attached and not seg.right_attached
 
 
 #: representatives of the 57 depth-2 classes, in discovery order

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import max_norm_distance, partition_by, shapes_up_to
+from conftest import closed_form, max_norm_distance, partition_by, \
+    shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import BudgetExceededError, GameSolver, fast_equiv_shapes
 from limlaw import limitchain
@@ -29,7 +30,15 @@ from limlaw.limitchain import (
     limiting_distribution,
     verify_chain_states,
 )
-from limlaw.logic import SIGNATURES, evaluate, parse
+from limlaw.logic import (
+    MAX_EVALUATION_CELLS,
+    SIGNATURES,
+    evaluate,
+    evaluation_cells,
+    miniscope,
+    parse,
+    quantifier_depth,
+)
 from limlaw.structures import (
     BULLET,
     ConvexLinearOrder,
@@ -283,6 +292,60 @@ class TestLimitProbability:
         exact = limiting_distribution(chain)
         iterated = distribution_after(chain, 2000)
         assert max_norm_distance(exact, iterated) < Fraction(1, 10 ** 9)
+
+    def test_ladder_a_at_m8(self):
+        # depth 9, eight points free in the body of the prefix
+        text, limit = closed_form.ladder_a(8, [f"v{i}" for i in range(9)])
+        analysis = analyze_limit("convex", text)
+        assert analysis.probability == limit == 1
+        assert analysis.k == 9
+
+
+class TestRecheck:
+    def test_translated_under_the_bound_miniscoped_past_it(self, monkeypatch):
+        # ladder A at m = 8 checks its small representatives on the
+        # translated sentence itself and the rest on the miniscoped form
+        text, _ = closed_form.ladder_a(8, [f"v{i}" for i in range(9)])
+        translated = parse(text)
+        scoped = miniscope(translated)
+        checked = []
+
+        def recording(view, f):
+            checked.append((view.size, f))
+            return evaluate(view, f)
+
+        monkeypatch.setattr(limitchain, "evaluate", recording)
+        chain = build_sentence_chain(translated)
+        assert len(checked) == len(chain)
+        for size, f in checked:
+            fits = evaluation_cells(translated, size) <= MAX_EVALUATION_CELLS
+            assert f == (translated if fits else scoped)
+        assert {f is translated for _, f in checked} == {True, False}
+
+    def test_prepare_chain_compiles_the_miniscoped_form(self, monkeypatch):
+        text, _ = closed_form.ladder_a(3, [f"v{i}" for i in range(4)])
+        compiled = []
+        compile_sentence = limitchain.compile_sentence
+
+        def recording(f):
+            compiled.append(f)
+            return compile_sentence(f)
+
+        monkeypatch.setattr(limitchain, "compile_sentence", recording)
+        _, translated, chain = limitchain.prepare_chain("convex", text)
+        assert compiled == [miniscope(translated)] != [translated]
+        assert chain.k == quantifier_depth(translated) == 4
+        # every representative fits, so every check ran on the translation
+        assert all(evaluation_cells(translated, s.representative.size)
+                   <= MAX_EVALUATION_CELLS for s in chain.states)
+
+    def test_disagreement_is_reported(self, monkeypatch):
+        # a wrong miniscope is caught on the representatives checked
+        # against the translation
+        monkeypatch.setattr(limitchain, "miniscope",
+                            lambda f: parse("exists x. x = x"))
+        with pytest.raises(InternalVerificationError, match="disagrees"):
+            build_sentence_chain(parse("exists x. exists y. x < y"))
 
 
 class TestEstimate:

@@ -1,12 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import shapes_up_to
+from conftest import closed_form, recursive_evaluate, shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.logic import (
+    MAX_EVALUATION_CELLS,
     And,
     Atom,
+    BudgetExceededError,
     Equals,
     EvaluationError,
     Exists,
@@ -23,16 +28,18 @@ from limlaw.logic import (
     TRUE,
     ensure_sentence,
     evaluate,
+    evaluation_cells,
     format_formula,
     formula_symbols,
     free_variables,
+    miniscope,
     parse,
     quantifier_depth,
     translate_composition,
     translate_layered,
     translate_to_convex,
 )
-from limlaw.structures import PartSequence, as_relational
+from limlaw.structures import THEORIES, PartSequence, as_relational
 
 FIRST_TWO_SHARE = ("exists x. exists y. (!(exists z. z < x) & x < y"
                    " & !(exists z. (x < z & z < y)) & x E y)")
@@ -222,6 +229,198 @@ class TestEvaluate:
         v = as_relational("convex", PartSequence((1,)))
         assert evaluate(v, TRUE)
         assert not evaluate(v, FALSE)
+
+    def test_env_points_must_exist(self):
+        v = as_relational("convex", PartSequence((2, 1)))
+        for point in (0, 4):
+            with pytest.raises(EvaluationError, match="not a point"):
+                evaluate(v, parse("x < y"), {"x": 1, "y": point})
+
+    def test_cells_count_free_bound_variables_not_names(self):
+        # a reused name costs nothing: each node has at most two variables
+        # free, so eight names cost what two do
+        chain = "exists a. exists b. (a < b & exists c. (b < c & exists d. " \
+            "(c < d & exists e. (d < e & exists f. (e < f & exists g. " \
+            "(f < g & exists h. g < h))))))"
+        assert evaluation_cells(parse(chain), 40) == 40 ** 2
+        cycle = parse(CYCLE7)
+        assert evaluation_cells(cycle, 40) == 40 ** 7
+        # every axis counts at least two cells, at any size
+        assert evaluation_cells(cycle, 1) == 2 ** 7
+        assert evaluation_cells(TRUE, 40) == 1
+
+    def test_reused_axes_match_the_oracle(self):
+        # in each chain the third variable takes the first one's axis
+        chains = [
+            "exists a. exists b. (a < b & exists c. (b < c & !(c E b)))",
+            "forall a. exists b. (a E b & forall c. (c < b | b E c))",
+            "exists a. (forall b. (a < b -> exists c. (b < c & c E b))"
+            " & exists b. b < a)",
+        ]
+        for text in chains:
+            f = parse(text)
+            for shape in shapes_up_to(6):
+                view = as_relational("convex", shape)
+                assert evaluate(view, f) == recursive_evaluate(view, f), \
+                    (text, str(shape))
+
+    def test_budget_raises_before_allocating(self):
+        # one relation matrix on 3000 points is 9 MB, and the cycle's
+        # widest node 3000^7 cells
+        view = as_relational("convex", PartSequence((1,) * 3000))
+        cycle = parse(CYCLE7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                evaluate(view, cycle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.nodes == 3000 ** 7 > MAX_EVALUATION_CELLS
+        assert peak < 1 << 20
+
+    def test_budget_applies_to_wide_nodes_only(self):
+        view = as_relational("convex", PartSequence((1,) * 40))
+        with pytest.raises(BudgetExceededError):
+            evaluate(view, parse(CYCLE7))
+        # the miniscoped cycle keeps three variables free at once
+        assert not evaluate(view, miniscope(parse(CYCLE7)))
+
+    def test_views_without_matrices_are_read_through_holds(self):
+        view = as_relational("fractured", PartSequence((2, 3)))
+        f = parse("exists x. exists y. (x p2 y & forall z. (z E x -> !(y p1 z)))")
+        assert evaluate(_RelabeledView(view, list(range(6))), f) == \
+            evaluate(view, f) == recursive_evaluate(view, f)
+
+
+#: a cycle of seven strict inequalities, false in every linear order; its
+#: quantifier prefix keeps all seven variables free in the body
+CYCLE7 = ("exists a. exists b. exists c. exists d. exists e. exists f. "
+          "exists g. (a < b & b < c & c < d & d < e & e < f & f < g & g < a)")
+
+
+class TestMiniscope:
+    def test_pinned_examples(self):
+        def scoped(text):
+            return format_formula(miniscope(parse(text)))
+
+        # exists moves inside the conjuncts that do not mention it
+        assert scoped("exists x. (x E x & exists y. (x < y & y E y))") == \
+            "exists x. (x E x & (exists y. (x < y & y E y)))"
+        assert scoped("exists x. exists y. (x < y & !(x E y)"
+                      " & exists z. (z E y & !(z = y)))") == \
+            "exists y. ((exists z. (z E y & !(z = y))) & " \
+            "(exists x. (x < y & !(x E y))))"
+        assert scoped("exists x. exists y. (x E x & y < y)") == \
+            "((exists y. y < y) & (exists x. x E x))"
+        # ... distributes over |, and is dropped when vacuous
+        assert scoped("exists x. (x < y | y E z)") == \
+            "((exists x. x < y) | y E z)"
+        # ... and commutes with the exists below it to get further in
+        assert scoped("exists x. exists y. (y < y & x E y)") == \
+            "exists y. (y < y & (exists x. x E y))"
+        # forall is the dual
+        assert scoped("forall x. forall y. (x < x | y E y)") == \
+            "((forall y. y E y) | (forall x. x < x))"
+        assert scoped("forall x. (x < y & y E z)") == \
+            "((forall x. x < y) & y E z)"
+        # a quantifier does not move through the other quantifier, a
+        # negation or an implication
+        for text in ("exists x. forall y. (y < y | x E y)",
+                     "forall x. (x < y | y < x)",
+                     "exists x. (x < y & y < x)",
+                     "exists x. !(x < y & y E y)",
+                     "forall x. (x < y -> y E y)"):
+            assert miniscope(parse(text)) == parse(text)
+
+    def test_result_deeper_than_the_cap_is_not_returned(self):
+        # a balanced conjunction of 128 atoms is 7 levels deep; pulled out
+        # of the quantifier it would become a chain 128 levels deep
+        parts = [Atom("<", "y", "y")] * 127 + [Atom("E", "x", "y")]
+        while len(parts) > 1:
+            parts = [And(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        f = Exists("x", parts[0])
+        assert miniscope(f) is f
+        assert f.nesting == 8
+
+    def test_ladder_a_keeps_two_variables_free(self):
+        # the prefix keeps all eight points free in the body; miniscoped,
+        # each quantifier sits over the atoms of one consecutive pair
+        text, _ = closed_form.ladder_a(8, [f"v{i}" for i in range(9)])
+        f = parse(text)
+        assert evaluation_cells(f, 10) == 10 ** 8
+        assert evaluation_cells(miniscope(f), 10) == 10 ** 2
+        assert quantifier_depth(miniscope(f)) == quantifier_depth(f) == 9
+
+
+# --- differential checks ---------------------------------------------------------
+
+_VARIABLES = ("x", "y", "z")
+
+
+@st.composite
+def _formulas(draw, relations, depth, bound=()):
+    """Formulas over x, y, z of quantifier depth exactly ``depth``.  Atoms
+    lean towards the innermost bound variables and quantifiers towards
+    fresh names, but every name can be drawn anywhere, so there is
+    shadowing and there are free variables."""
+    kind = draw(st.integers(0, 3 if depth else 4))
+    if depth and kind <= 1:
+        var = draw(st.sampled_from(
+            [v for v in _VARIABLES if v not in bound]
+            + [v for v in _VARIABLES if v in bound]))
+        quantifier = draw(st.sampled_from((Exists, Forall)))
+        return quantifier(var, draw(_formulas(relations, depth - 1,
+                                               bound + (var,))))
+    if kind == (2 if depth else 3):
+        op = draw(st.sampled_from((And, Or, Implies, Iff)))
+        operands = [draw(_formulas(relations, depth, bound)),
+                    draw(_formulas(relations, draw(st.integers(0, depth)),
+                                   bound))]
+        if draw(st.booleans()):
+            operands.reverse()
+        return op(*operands)
+    if kind == (3 if depth else 4):
+        if not depth and draw(st.booleans()):
+            return draw(st.sampled_from((TRUE, FALSE)))
+        return Not(draw(_formulas(relations, depth, bound)))
+    names = st.sampled_from(bound[::-1] + _VARIABLES)
+    symbol = draw(st.sampled_from(relations))
+    left, right = draw(names), draw(names)
+    return Equals(left, right) if symbol == "=" else Atom(symbol, left, right)
+
+
+@st.composite
+def _cases(draw):
+    theory = draw(st.sampled_from(THEORIES))
+    relations = sorted(SIGNATURES[theory].relations) + ["="]
+    f = draw(_formulas(relations, draw(st.sampled_from((3, 2, 1, 0)))))
+    # points for the free variables, clipped to each structure's size
+    env = {v: draw(st.integers(1, 6)) for v in sorted(free_variables(f))}
+    return theory, f, env
+
+
+_DIFFERENTIAL = settings(derandomize=True, max_examples=400, deadline=None,
+                         database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+_SHAPES = shapes_up_to(6)
+
+
+class TestDifferential:
+    @_DIFFERENTIAL
+    @given(_cases())
+    def test_array_evaluator_and_miniscope_match_the_oracle(self, case):
+        theory, f, env = case
+        scoped = miniscope(f)
+        assert free_variables(scoped) == free_variables(f)
+        assert quantifier_depth(scoped) <= quantifier_depth(f)
+        for shape in _SHAPES:
+            view = as_relational(theory, shape)
+            at = {v: min(p, shape.size) for v, p in env.items()}
+            want = recursive_evaluate(view, f, at)
+            assert evaluate(view, f, at) == want, (str(shape), at)
+            assert recursive_evaluate(view, scoped, at) == want, \
+                (str(shape), at, format_formula(scoped))
 
 
 class TestTranslations:

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from conftest import closed_form
 from limlaw.battery import BATTERY
 from limlaw.efgame import GameSolver
 from limlaw.limitchain import build_sentence_chain, chain_walk
@@ -9,6 +10,7 @@ from limlaw.logic import (
     SIGNATURES,
     SignatureError,
     evaluate,
+    miniscope,
     parse,
     translate_to_convex,
 )
@@ -161,3 +163,30 @@ class TestVariableNames:
             return compile_sentence(translate_to_convex(theory, f))
 
         assert compiled(renamed) == compiled(text)
+
+
+def _miniscope_battery():
+    names = [f"v{i}" for i in range(9)]
+    cases = [(f"battery/{name}", sentence)
+             for name, sentence in _battery_convex_sentences()]
+    cases += [(f"ladder-a/m={m}", closed_form.ladder_a(m, names)[0])
+              for m in range(2, 8)]
+    cases += [(f"ladder-b/m={m}", closed_form.ladder_b(m, names)[0])
+              for m in range(3, 7)]
+    for family in closed_form.FAMILIES:
+        for theory in closed_form.THEORIES:
+            for m in range(2, 7):
+                text, _ = closed_form.family(family, theory, m, names)
+                cases.append((f"{family}/{theory}/m={m}", translate_to_convex(
+                    theory, parse(text, SIGNATURES[theory]))))
+    return [pytest.param(parse(f) if isinstance(f, str) else f, id=label)
+            for label, f in cases]
+
+
+class TestMiniscopedCompilation:
+    @pytest.mark.parametrize("sentence", _miniscope_battery())
+    def test_same_automaton(self, sentence):
+        # minimal automata numbered breadth-first are canonical, so an
+        # equivalent formula compiles to the very same StepAutomaton
+        assert compile_sentence(miniscope(sentence)) == \
+            compile_sentence(sentence)

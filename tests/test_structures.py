@@ -307,6 +307,22 @@ class TestRelationalViews:
                         assert view.holds(sym, i, j) == ((i, j) in table), \
                             (theory, str(shape), sym, i, j)
 
+    @pytest.mark.parametrize("theory",
+                             ["convex", "layered", "composition", "fractured"])
+    def test_matrices_match_naive_tables(self, theory):
+        for shape in shapes_up_to(6):
+            view = as_relational(theory, shape)
+            n = shape.size
+            tables = naive_relations(theory, shape.parts)
+            tables["="] = {(i, i) for i in range(1, n + 1)}
+            for sym, table in tables.items():
+                m = view.matrix(sym)
+                assert m.shape == (n, n) and not m.flags.writeable
+                assert {(i + 1, j + 1) for i, j in zip(*m.nonzero())} == \
+                    table, (theory, str(shape), sym)
+        with pytest.raises(ValueError):
+            as_relational("convex", PartSequence((2,))).matrix("p1")
+
     @settings(max_examples=60)
     @given(parts_strategy, st.sampled_from(
         ["convex", "layered", "composition", "fractured"]))
