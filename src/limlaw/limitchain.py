@@ -34,12 +34,10 @@ from .efgame import (
 )
 from .stepauto import compile_sentence
 from .logic import (
-    MAX_EVALUATION_CELLS,
     Formula,
     SIGNATURES,
     ensure_sentence,
     evaluate,
-    evaluation_cells,
     miniscope,
     parse,
     quantifier_depth,
@@ -407,9 +405,9 @@ def build_sentence_chain(translated: Formula) -> Chain:
     which compiles to the same automaton with narrower intermediate ones.
     Each state carries the first structure reaching it, and the automaton's
     acceptance bit is re-checked by the model checker on that
-    representative: on ``translated`` itself when it fits under
-    :data:`MAX_EVALUATION_CELLS`, so that the check shares no rewrite with
-    the compiler, and on the miniscoped form otherwise.
+    representative: on ``translated`` itself, so that the check shares no
+    rewrite with the compiler, and on the miniscoped form when
+    :func:`evaluate` refuses ``translated`` as too wide.
     """
     scoped = miniscope(translated)
     auto = compile_sentence(scoped)
@@ -429,9 +427,11 @@ def build_sentence_chain(translated: Formula) -> Chain:
         if rep is None:
             raise InternalVerificationError(
                 f"automaton state {q} unreachable by construction steps")
-        fits = evaluation_cells(translated, rep.size) <= MAX_EVALUATION_CELLS
-        checked = evaluate(as_relational("convex", rep.shape),
-                           translated if fits else scoped)
+        view = as_relational("convex", rep.shape)
+        try:
+            checked = evaluate(view, translated)
+        except BudgetExceededError:
+            checked = evaluate(view, scoped)
         if checked != auto.accepting[q]:
             raise InternalVerificationError(
                 f"automaton acceptance disagrees with the model checker on "

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .structures import RELATION_SYMBOLS, StructureView
+from .structures import RELATION_SYMBOLS
 
 
 class FormulaSyntaxError(ValueError):
@@ -487,44 +487,52 @@ def miniscope(f: Formula) -> Formula:
 
 def _miniscope(f: Formula) -> Formula:
     """Miniscoped ``f``; a subtree that does not change is returned as is."""
-    if isinstance(f, Not):
+    kind = type(f)
+    if kind is Not:
         body = _miniscope(f.body)
         return f if body is f.body else Not(body)
-    if isinstance(f, _Binary):
+    if kind in _BINARY_OPS:
         left, right = _miniscope(f.left), _miniscope(f.right)
         if left is f.left and right is f.right:
             return f
-        return type(f)(left, right)
-    if isinstance(f, _Quantifier):
+        return kind(left, right)
+    if kind is Exists or kind is Forall:
         body = _miniscope(f.body)
-        pushed = _push(type(f), f.var, body)
-        if body is f.body and type(pushed) is type(f) and pushed.body is body:
-            return f
-        return pushed
+        moved = _moved(kind, f.var, body)
+        if moved is not None:
+            return moved
+        return f if body is f.body else kind(f.var, body)
     return f
 
 
 def _push(quantifier: type, var: str, body: Formula) -> Formula:
     """``quantifier(var, body)`` with the quantifier moved in; ``body`` is
     already miniscoped."""
+    moved = _moved(quantifier, var, body)
+    return quantifier(var, body) if moved is None else moved
+
+
+def _moved(quantifier: type, var: str, body: Formula) -> Formula | None:
+    """:func:`_push`, or None when the quantifier stays where it is."""
     if var not in body.free:
         return body
     spread, pulled = (Or, And) if quantifier is Exists else (And, Or)
-    if isinstance(body, spread):
+    kind = type(body)
+    if kind is spread:
         return spread(_push(quantifier, var, body.left),
                       _push(quantifier, var, body.right))
-    if isinstance(body, pulled):
+    if kind is pulled:
         parts = _operands(body, pulled)
         outside = [p for p in parts if var not in p.free]
         if outside:
             inside = _chain(pulled, [p for p in parts if var in p.free])
             return _chain(pulled, outside + [_push(quantifier, var, inside)])
-    elif isinstance(body, quantifier):
+    elif kind is quantifier:
         # swap the two quantifiers when the inner one can then move in
-        inner = _push(quantifier, var, body.body)
-        if not (isinstance(inner, quantifier) and inner.body is body.body):
+        inner = _moved(quantifier, var, body.body)
+        if inner is not None:
             return _push(quantifier, body.var, inner)
-    return quantifier(var, body)
+    return None
 
 
 def _operands(f: Formula, op: type) -> list[Formula]:
@@ -533,7 +541,7 @@ def _operands(f: Formula, op: type) -> list[Formula]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, op):
+        if type(g) is op:
             stack += (g.right, g.left)
         else:
             parts.append(g)
@@ -557,15 +565,16 @@ def _chain(op: type, parts: list[Formula]) -> Formula:
 # connectives are broadcasts and quantifiers are reductions.  A quantifier
 # takes the lowest axis not held by a variable free at it, so a node costs
 # ``size ** (its free bound variables)`` cells however many names the
-# formula uses.  Variables free in the whole formula are points from
-# ``env`` and select rows or columns of the relation matrices.
+# formula uses.  An atom is the view's relation over the points of its
+# operands' axes, and a variable free in the whole formula is its point
+# from ``env``: an atom on one axis is a row, a column or a diagonal, and
+# only an atom on two axes is a matrix.
 
 #: The most cells :func:`evaluate` may allocate for one node.  A node with
-#: ``w`` free bound variables counts ``max(size, 2) ** w`` cells, and a
-#: relation matrix counts as a node with two.  Past the bound,
-#: :func:`evaluate` raises :class:`BudgetExceededError` before it allocates
-#: anything.  Counting at least 2 per axis keeps the number of array axes
-#: at most 22, well inside NumPy's limit, at every size.
+#: ``w`` free bound variables counts ``max(size, 2) ** w`` cells.  Past the
+#: bound, :func:`evaluate` raises :class:`BudgetExceededError` before it
+#: allocates anything.  Counting at least 2 per axis keeps the number of
+#: array axes at most 23, well inside NumPy's limit, at every size.
 MAX_EVALUATION_CELLS = 1 << 22
 
 _RELATION, _CONSTANT, _NOT, _AND, _OR, _IMPLIES, _IFF, _EXISTS, _FORALL = \
@@ -581,7 +590,7 @@ class _Program:
 
     ``steps`` run in order; an operand of ``_RELATION`` is an axis (int) or
     the name of a free variable (str).  ``width`` is the most bound
-    variables free at one node, counting two for a relation matrix."""
+    variables free at one node."""
 
     steps: tuple[tuple, ...]
     symbols: frozenset[str]
@@ -606,29 +615,31 @@ def _compile_program(f: Formula) -> _Program:
     work: list[tuple[Formula, dict[str, int]]] = [(f, {})]
     while work:
         g, scope = work.pop()
-        if isinstance(g, (Atom, Equals)):
-            symbol = g.symbol if isinstance(g, Atom) else "="
+        kind = type(g)
+        if kind is Atom or kind is Equals:
+            symbol = g.symbol if kind is Atom else "="
             symbols.add(symbol)
-            width = max(width, 2)
             steps.append((_RELATION, symbol, scope.get(g.left, g.left),
                           scope.get(g.right, g.right)))
-        elif isinstance(g, (TrueFormula, FalseFormula)):
-            steps.append((_CONSTANT, isinstance(g, TrueFormula)))
-        elif isinstance(g, Not):
+        elif kind is Not:
             steps.append((_NOT,))
             work.append((g.body, scope))
-        elif isinstance(g, _Binary):
-            steps.append((_OPCODES[type(g)],))
+        elif kind in _BINARY_OPS:
+            steps.append((_OPCODES[kind],))
             work += ((g.left, scope), (g.right, scope))
-        elif isinstance(g, _Quantifier):
+        elif kind is Exists or kind is Forall:
             held = {scope[v] for v in g.free if v in scope}
-            axis = min(set(range(len(held) + 1)) - held)
+            axis = 0
+            while axis in held:
+                axis += 1
             axes = max(axes, axis + 1)
-            # a connective's free variables are those of its operands, so
-            # the widest node is an atom or the body of a quantifier
+            # a node's free variables are among those of the body of the
+            # innermost quantifier above it, so the bodies are the widest
             width = max(width, len(held) + (g.var in g.body.free))
-            steps.append((_OPCODES[type(g)], axis))
+            steps.append((_OPCODES[kind], axis))
             work.append((g.body, {**scope, g.var: axis}))
+        elif kind is TrueFormula or kind is FalseFormula:
+            steps.append((_CONSTANT, kind is TrueFormula))
         else:
             raise TypeError(f"not a formula: {g!r}")
     steps.reverse()
@@ -644,41 +655,6 @@ def evaluation_cells(f: Formula, size: int) -> int:
     return max(size, 2) ** _program(f).width
 
 
-def _holds_matrices(struct):
-    """Relation matrices of a view that offers only ``holds``."""
-    points = range(1, struct.size + 1)
-    built: dict[str, np.ndarray] = {}
-
-    def matrix(symbol: str) -> np.ndarray:
-        if symbol not in built:
-            built[symbol] = (np.eye(struct.size, dtype=bool) if symbol == "="
-                             else np.array([[struct.holds(symbol, i, j)
-                                             for j in points]
-                                            for i in points], dtype=bool))
-        return built[symbol]
-    return matrix
-
-
-def _place(m: np.ndarray, a, b, env: dict[str, int], shape: list[int]
-           ) -> np.ndarray:
-    """The atom with relation matrix ``m`` on operands ``a`` and ``b``
-    (axes or free variable names), laid out on the axes of ``shape``."""
-    n = len(m)
-    if isinstance(a, str):
-        row = m[env[a] - 1]
-        if isinstance(b, str):
-            return np.full(shape, row[env[b] - 1])
-        shape[b] = n
-        return row.reshape(shape)
-    if isinstance(b, str):
-        shape[a] = n
-        return m[:, env[b] - 1].reshape(shape)
-    shape[a] = shape[b] = n
-    if a == b:
-        return m.diagonal().reshape(shape)
-    return (m if a < b else m.T).reshape(shape)
-
-
 def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
     """Standard first-order satisfaction on a relational view.
 
@@ -686,41 +662,53 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
     ``struct``; quantifiers range over all points.  Bound-variable shadowing
     uses the innermost binding.  Raises :class:`BudgetExceededError` if a
     node would hold more than :data:`MAX_EVALUATION_CELLS` cells (see
-    :func:`evaluation_cells`).
-
-    A :class:`~limlaw.structures.StructureView` supplies its cached
-    relation matrices; any other view is read through ``holds``.
+    :func:`evaluation_cells`).  The view's ``relation`` method supplies the
+    atoms.
     """
     _check_nesting(f)
     program = _program(f)
-    env = env or {}
-    missing = f.free - env.keys()
-    if missing:
-        raise EvaluationError(f"unassigned free variables {sorted(missing)}")
-    foreign = program.symbols - struct.signature
-    if foreign:
+    n = struct.size
+    if f.free:
+        env = env or {}
+        missing = f.free - env.keys()
+        if missing:
+            raise EvaluationError(
+                f"unassigned free variables {sorted(missing)}")
+        for name in f.free:
+            if not 1 <= env[name] <= n:
+                raise EvaluationError(
+                    f"{name} = {env[name]} is not a point of a structure of "
+                    f"size {n}")
+    if not program.symbols <= struct.signature:
+        foreign = program.symbols - struct.signature
         raise SignatureError(
             f"symbols {sorted(foreign)} not in the {struct.theory} signature")
-    n = struct.size
-    for name in f.free:
-        if not 1 <= env[name] <= n:
-            raise EvaluationError(
-                f"{name} = {env[name]} is not a point of a structure of "
-                f"size {n}")
     cells = evaluation_cells(f, n)
     if cells > MAX_EVALUATION_CELLS:
         raise BudgetExceededError(
             f"evaluating needs {cells} cells for one node on a structure of "
             f"size {n}, over the bound of {MAX_EVALUATION_CELLS}", cells)
-    matrix = (struct.matrix if isinstance(struct, StructureView)
-              else _holds_matrices(struct))
+    # the points an atom operand stands for: an axis's range, or a point
     flat = [1] * program.axes
+    points = {name: np.full(flat, env[name]) for name in f.free}
+    if program.axes:
+        every = np.arange(1, n + 1)
+        for axis in range(program.axes):
+            flat[axis] = n
+            points[axis] = every.reshape(flat)
+            flat[axis] = 1
+    relation = struct.relation
+    atoms: dict[tuple, np.ndarray] = {}  # no step writes into an array
     stack: list[np.ndarray] = []
     push, pop = stack.append, stack.pop
     for step in program.steps:
         op = step[0]
         if op == _RELATION:
-            push(_place(matrix(step[1]), step[2], step[3], env, flat[:]))
+            value = atoms.get(step)
+            if value is None:
+                value = atoms[step] = relation(step[1], points[step[2]],
+                                               points[step[3]])
+            push(value)
         elif op == _CONSTANT:
             push(np.full(flat, step[1]))
         elif op == _NOT:

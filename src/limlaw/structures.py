@@ -230,11 +230,11 @@ class StructureView:
 
     Exposes ``size`` and an evaluator ``holds(symbol, i, j)`` for each binary
     relation symbol of the theory's signature, on points 1..size, and the
-    same relations as boolean matrices (``matrix``), built on first use.
+    same relations over arrays of points (``relation``).
     """
 
     __slots__ = ("theory", "shape", "size", "signature", "symbols",
-                 "cls_of", "class_starts", "_rel", "_matrices")
+                 "cls_of", "class_starts", "_rel", "_classes")
 
     def __init__(self, theory: str, shape: PartSequence):
         if theory not in THEORIES:
@@ -256,7 +256,7 @@ class StructureView:
         self.cls_of = tuple(cls_of)
         self.class_starts = tuple(starts)
         self._rel = self._build_relations()
-        self._matrices: dict[str, np.ndarray] = {}
+        self._classes: np.ndarray | None = None  # cls_of, for relation()
 
     def _build_relations(self):
         cls_of = self.cls_of
@@ -296,37 +296,30 @@ class StructureView:
             ) from None
         return rel(i, j)
 
-    def matrix(self, symbol: str) -> np.ndarray:
-        """Read-only ``size`` x ``size`` boolean matrix of a relation symbol
-        of the signature, or of ``=``: entry ``[i - 1, j - 1]`` is
-        ``holds(symbol, i, j)``.  Built once per view."""
-        m = self._matrices.get(symbol)
-        if m is None:
-            if symbol != "=" and symbol not in self._rel:
-                raise ValueError(
-                    f"relation {symbol!r} not in the {self.theory} signature")
-            m = self._build_matrix(symbol)
-            m.setflags(write=False)
-            self._matrices[symbol] = m
-        return m
-
-    def _build_matrix(self, symbol: str) -> np.ndarray:
+    def relation(self, symbol: str, left: np.ndarray, right: np.ndarray
+                 ) -> np.ndarray:
+        """``holds(symbol, i, j)`` over the broadcast integer arrays ``left``
+        and ``right`` of points, for a relation symbol of the signature or
+        ``=``.  The work is that of the broadcast result: points on one axis
+        give a row, a column or a diagonal, on two axes a matrix."""
         if symbol == "=":
-            return np.eye(self.size, dtype=bool)
-        point = np.arange(self.size)
-        cls = np.array(self.cls_of[1:])
+            return left == right
+        if symbol not in self._rel:
+            raise ValueError(
+                f"relation {symbol!r} not in the {self.theory} signature")
         if symbol in ("<", "<1"):
-            return point[:, None] < point
+            return left < right
+        if self._classes is None:
+            self._classes = np.array(self.cls_of)
+        cls_left, cls_right = self._classes[left], self._classes[right]
         if symbol == "E":
-            return cls[:, None] == cls
+            return cls_left == cls_right
         if symbol == "p1":
-            return cls[:, None] < cls
-        lt = point[:, None] < point
-        same = cls[:, None] == cls
-        if symbol == "<2":
-            # within a block <2 reverses <1; across blocks they agree
-            return np.where(same, lt.T, lt)
-        return same & lt  # p2
+            return cls_left < cls_right
+        if symbol == "p2":
+            return (cls_left == cls_right) & (left < right)
+        # <2: within a block it reverses <1; across blocks they agree
+        return np.where(cls_left == cls_right, right < left, left < right)
 
     def points(self) -> range:
         return range(1, self.size + 1)

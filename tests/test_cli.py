@@ -328,6 +328,13 @@ class TestCheck:
         assert out == ""
         assert "budget exhausted" in err and str(40 ** 7) in err
 
+    def test_one_variable_at_a_time_on_3000_points(self, capsys):
+        # each node has at most one variable free: 3000 cells, no matrix
+        for text in ("exists x. x = x", "forall x. !(x < x)"):
+            code, out, _ = run_cli(capsys, "check", ",".join(["1"] * 3000),
+                                   "--formula", text)
+            assert code == 0 and out.strip() == "true", text
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

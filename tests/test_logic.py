@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -248,6 +249,20 @@ class TestEvaluate:
         # every axis counts at least two cells, at any size
         assert evaluation_cells(cycle, 1) == 2 ** 7
         assert evaluation_cells(TRUE, 40) == 1
+        # an atom on one variable, or on a free one, is a row, a column or
+        # a diagonal: one axis, not a matrix
+        assert evaluation_cells(parse("exists x. x = x"), 3000) == 3000
+        assert evaluation_cells(parse("forall x. x < y"), 3000) == 3000
+        assert evaluation_cells(parse("x E y"), 3000) == 1
+
+    def test_atoms_on_one_axis_on_large_structures(self):
+        view = as_relational("fractured", PartSequence((1500, 1500)))
+        assert evaluate(view, parse("exists x. x = x"))
+        assert evaluate(view, parse("forall x. !(x p2 x)"))
+        assert evaluate(view, parse("forall x. (x p1 y | x E y)"), {"y": 2000})
+        assert not evaluate(view, parse("exists x. x p1 y"), {"y": 1})
+        assert evaluate(view, parse("exists x. y p2 x"), {"y": 1499})
+        assert not evaluate(view, parse("y p2 z"), {"y": 1500, "z": 1501})
 
     def test_reused_axes_match_the_oracle(self):
         # in each chain the third variable takes the first one's axis
@@ -265,8 +280,8 @@ class TestEvaluate:
                     (text, str(shape))
 
     def test_budget_raises_before_allocating(self):
-        # one relation matrix on 3000 points is 9 MB, and the cycle's
-        # widest node 3000^7 cells
+        # the cycle's widest node is 3000^7 cells, and one of its relation
+        # matrices alone would be 9 MB
         view = as_relational("convex", PartSequence((1,) * 3000))
         cycle = parse(CYCLE7)
         tracemalloc.start()
@@ -286,11 +301,6 @@ class TestEvaluate:
         # the miniscoped cycle keeps three variables free at once
         assert not evaluate(view, miniscope(parse(CYCLE7)))
 
-    def test_views_without_matrices_are_read_through_holds(self):
-        view = as_relational("fractured", PartSequence((2, 3)))
-        f = parse("exists x. exists y. (x p2 y & forall z. (z E x -> !(y p1 z)))")
-        assert evaluate(_RelabeledView(view, list(range(6))), f) == \
-            evaluate(view, f) == recursive_evaluate(view, f)
 
 
 #: a cycle of seven strict inequalities, false in every linear order; its
@@ -499,13 +509,13 @@ class _RelabeledView:
 
     def __init__(self, base, perm):
         self.base = base
-        self.perm = perm
+        self.perm = np.array(perm)
         self.size = base.size
         self.signature = base.signature
         self.theory = base.theory
 
-    def holds(self, sym, i, j):
-        return self.base.holds(sym, self.perm[i], self.perm[j])
+    def relation(self, sym, left, right):
+        return self.base.relation(sym, self.perm[left], self.perm[right])
 
 
 class TestLabelInvariance:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,19 +310,27 @@ class TestRelationalViews:
 
     @pytest.mark.parametrize("theory",
                              ["convex", "layered", "composition", "fractured"])
-    def test_matrices_match_naive_tables(self, theory):
+    def test_relation_arrays_match_naive_tables(self, theory):
         for shape in shapes_up_to(6):
             view = as_relational(theory, shape)
             n = shape.size
+            points = np.arange(1, n + 1)
             tables = naive_relations(theory, shape.parts)
             tables["="] = {(i, i) for i in range(1, n + 1)}
             for sym, table in tables.items():
-                m = view.matrix(sym)
-                assert m.shape == (n, n) and not m.flags.writeable
+                m = view.relation(sym, points[:, None], points)
+                assert m.shape == (n, n)
                 assert {(i + 1, j + 1) for i, j in zip(*m.nonzero())} == \
                     table, (theory, str(shape), sym)
+                # rows, columns and the diagonal are the matrix's
+                assert (view.relation(sym, points, points)
+                        == m.diagonal()).all()
+                for p in range(1, n + 1):
+                    assert (view.relation(sym, p, points) == m[p - 1]).all()
+                    assert (view.relation(sym, points, p)
+                            == m[:, p - 1]).all()
         with pytest.raises(ValueError):
-            as_relational("convex", PartSequence((2,))).matrix("p1")
+            as_relational("convex", PartSequence((2,))).relation("p1", 1, 2)
 
     @settings(max_examples=60)
     @given(parts_strategy, st.sampled_from(
