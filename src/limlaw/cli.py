@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 user input error, 3 resource budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -213,7 +214,10 @@ def _add_formula_options(sub) -> None:
     group.add_argument("--formula-file", help="path to a file holding the formula")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="limlaw",
         description="exact logical limit laws for convex linear orders, "

@@ -9,7 +9,13 @@ cross-check the other:
   views the memo key is the canonical gap decomposition around the played
   points; for everything else it is the exact point tuples.  Either key is a
   pure isomorphism invariant of the position — correctness never depends on
-  which one is used, only speed does.
+  which one is used, only speed does.  The solver reads each structure once,
+  through ``holds`` alone, into a pair-code table: one small int per ordered
+  pair of points, packing every symbol of the signature in both directions.
+  Consistency of a reply, the one-point extension types and the
+  partial-isomorphism check all compare codes.  A position with one round
+  left is decided by comparing the two sides' extension types, without a
+  memo entry.
 
 * :func:`fast_equiv_convex` — a compositional decider for convex linear
   orders that splits the board at the chosen point and solves the two
@@ -21,11 +27,14 @@ two module-level caches keyed by immutable values: ``_type_memo`` maps
 They are process-global and unsynchronised: every caller in the process
 shares them, they grow until :func:`clear_fast_memo` empties them, and
 nothing here coordinates concurrent callers.  A :class:`GameSolver` instance
-owns its own memo and is meant to be confined to one sweep.
+owns its memo, the pair-code table and extension types of every structure it
+has met (keyed by theory and parts) and its reply orders; it is meant to be
+confined to one sweep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .logic import BudgetExceededError, SignatureError
 from .structures import (
@@ -186,7 +195,8 @@ class GameSolver:
     keyed by isomorphism-invariant position descriptions, so sweeps over
     many structure pairs share work.  ``canonical_keys=False`` falls back to
     exact point tuples (slower, with fewer shared assumptions — the mode the
-    cross-validation tests run in).
+    cross-validation tests run in).  Each structure the solver meets is
+    read once, into a :class:`_Board` kept by theory and parts.
     """
 
     def __init__(self, budget: int | None = None, canonical_keys: bool = True):
@@ -194,55 +204,72 @@ class GameSolver:
         self.canonical_keys = canonical_keys
         self.nodes = 0
         self._memo: dict = {}
+        self._boards: dict = {}
+        self._orders: dict = {}
 
     def equiv(self, a, b, k: int) -> bool:
         left, right = structure_view(a), structure_view(b)
         if left.signature != right.signature:
             raise SignatureError(
                 f"signature mismatch: {left.theory} vs {right.theory}")
-        return self._win(left, right, (), k)
+        return self._win(self._board(left), self._board(right), (), k)
 
     def config_value(self, cfg: GameConfig) -> bool:
         left, right = cfg.left, cfg.right
         if left.signature != right.signature:
             raise SignatureError(
                 f"signature mismatch: {left.theory} vs {right.theory}")
+        A, B = self._board(left), self._board(right)
         pairs = tuple(sorted(cfg.pairs))
-        _check_partial_isomorphism(left, right, pairs)
-        return self._win(left, right, pairs, cfg.rounds_left)
+        _check_partial_isomorphism(A, B, pairs)
+        return self._win(A, B, pairs, cfg.rounds_left)
 
     # internal ---------------------------------------------------------------
 
-    def _win(self, A: StructureView, B: StructureView, pairs, r: int) -> bool:
+    def _board(self, view: StructureView) -> _Board:
+        key = (view.theory, view.shape.parts)
+        board = self._boards.get(key)
+        if board is None:
+            board = self._boards[key] = _Board(view)
+        return board
+
+    def _win(self, A: _Board, B: _Board, pairs, r: int) -> bool:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceededError(
                 f"game budget exhausted after {self.nodes} nodes on "
-                f"{A.theory} {A.shape} vs {B.theory} {B.shape}", self.nodes)
+                f"{A.view.theory} {A.view.shape} vs "
+                f"{B.view.theory} {B.view.shape}", self.nodes)
         if r <= 0:
             return True
-        key = self._key(A, B, pairs, r)
+        if r == 1:
+            # deciding it costs no more than its memo key would
+            return _one_round_value(A, B, pairs)
+        key = self._key(A.view, B.view, pairs, r)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if r == 1:
-            value = _one_round_value(A, B, pairs)
-        else:
-            value = self._search(A, B, pairs, r)
+        value = self._search(A, B, pairs, r)
         self._memo[key] = value
         return value
 
     def _search(self, A, B, pairs, r) -> bool:
-        xs = [x for x, _ in pairs]
-        ys = [y for _, y in pairs]
-        for side, p in _spoiler_moves(A, B, xs, ys):
+        xs, ys = zip(*pairs) if pairs else ((), ())
+        # a point's atomic type over the played points of its side
+        type_x, type_y = itemgetter(0, *xs), itemgetter(0, *ys)
+        for side, p in _spoiler_moves(A.size, B.size, xs, ys):
             if side == 0:
-                V, W, played_v, played_w = A, B, xs, ys
+                V, W, played_w, type_w = A, B, ys, type_y
+                want = type_x(A.codes[p])
             else:
-                V, W, played_v, played_w = B, A, ys, xs
+                V, W, played_w, type_w = B, A, xs, type_x
+                want = type_y(B.codes[p])
+            codes_w = W.codes
             found = False
-            for q in _responses(W, played_w, p, V.size):
-                if not _consistent(V, W, played_v, played_w, p, q):
+            for q in self._replies(W.size, V.size, p):
+                # pairing p with q keeps a partial isomorphism iff their
+                # types agree
+                if q in played_w or type_w(codes_w[q]) != want:
                     continue
                 # left coordinates are distinct, so this sorts by them
                 pair = (p, q) if side == 0 else (q, p)
@@ -252,6 +279,17 @@ class GameSolver:
             if not found:
                 return False
         return True
+
+    def _replies(self, n: int, m: int, p: int) -> tuple[int, ...]:
+        """Duplicator's candidate replies on an n-point side to point p of
+        an m-point side, ordered by similarity of relative position."""
+        key = (n, m, p)
+        order = self._orders.get(key)
+        if order is None:
+            rel = p / (m + 1)
+            order = self._orders[key] = tuple(
+                sorted(range(1, n + 1), key=lambda q: abs(q / (n + 1) - rel)))
+        return order
 
     def _key(self, A, B, pairs, r):
         if self.canonical_keys and A.theory == "convex" and B.theory == "convex":
@@ -263,84 +301,97 @@ class GameSolver:
         return ("x", r) + ((sa, sb) if sa <= sb else (sb, sa))
 
 
-def _consistent(V: StructureView, W: StructureView, played_v, played_w,
-                p: int, q: int) -> bool:
-    """Would pairing fresh points p (in V) and q (in W) keep a partial iso?"""
-    for sym in V.symbols:
-        if V.holds(sym, p, p) != W.holds(sym, q, q):
-            return False
-    for a, b in zip(played_v, played_w):
-        for sym in V.symbols:
-            if V.holds(sym, p, a) != W.holds(sym, q, b):
-                return False
-            if V.holds(sym, a, p) != W.holds(sym, b, q):
-                return False
-    return True
+class _Board:
+    """One structure as the solver reads it: the view, its pair-code table
+    and the one-point extension types over each played tuple met so far."""
+
+    __slots__ = ("view", "size", "codes", "_types")
+
+    def __init__(self, view: StructureView):
+        self.view = view
+        self.size = view.size
+        self.codes = _pair_codes(view)
+        self._types: dict = {}
+
+    def extension_types(self, played: tuple) -> frozenset:
+        """The atomic types over ``played`` that the unplayed points
+        realize."""
+        types = self._types.get(played)
+        if types is None:
+            type_of = itemgetter(0, *played)
+            codes = self.codes
+            types = set()
+            lo = 1
+            for a in sorted(played):
+                types.update(map(type_of, codes[lo:a]))
+                lo = a + 1
+            types.update(map(type_of, codes[lo:]))
+            types = self._types[played] = frozenset(types)
+        return types
 
 
-def _one_round_value(A, B, pairs) -> bool:
+def _pair_codes(V: StructureView) -> tuple[tuple[int, ...], ...]:
+    """The view's pair-code table, read from ``holds`` alone.
+
+    ``table[p][a]`` packs ``holds(s_i, p, a)`` at bit 2i and
+    ``holds(s_i, a, p)`` at bit 2i+1 for the i-th symbol of ``V.symbols``,
+    so ``table[p][p]`` is the one-point type of p.  Row 0 is unused, and
+    ``table[p][0]`` repeats ``table[p][p]``: ``itemgetter(0, *played)``
+    then reads p's whole atomic type over the played points.
+    """
+    holds, n = V.holds, V.size
+    bits = [(sym, 1 << 2 * i, 2 << 2 * i) for i, sym in enumerate(V.symbols)]
+    table = [()]
+    for p in range(1, n + 1):
+        row = [0] * (n + 1)
+        for a in range(1, n + 1):
+            code = 0
+            for sym, forward, backward in bits:
+                if holds(sym, p, a):
+                    code |= forward
+                if holds(sym, a, p):
+                    code |= backward
+            row[a] = code
+        row[0] = row[p]
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _one_round_value(A: _Board, B: _Board, pairs) -> bool:
     # with one round left, Duplicator wins iff both sides realize the same
     # set of one-point extension types over the played tuples
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    return _extension_types(A, xs) == _extension_types(B, ys)
+    xs, ys = zip(*pairs) if pairs else ((), ())
+    return A.extension_types(xs) == B.extension_types(ys)
 
 
-def _extension_types(V: StructureView, played) -> frozenset:
-    played_set = set(played)
-    syms = V.symbols
-    types = set()
-    for p in range(1, V.size + 1):
-        if p in played_set:
-            continue
-        bits = [V.holds(s, p, p) for s in syms]
-        for a in played:
-            for s in syms:
-                bits.append(V.holds(s, p, a))
-                bits.append(V.holds(s, a, p))
-        types.add(tuple(bits))
-    return frozenset(types)
-
-
-def _spoiler_moves(A, B, xs, ys):
+def _spoiler_moves(size_a: int, size_b: int, xs, ys):
     """All unplayed points of both sides, farthest-from-anything-played
     first (gap midpoints make the strongest Spoiler moves)."""
     moves = []
-    for side, view, played in ((0, A, xs), (1, B, ys)):
-        anchors = [0, view.size + 1] + played
-        played_set = set(played)
-        for p in range(1, view.size + 1):
-            if p in played_set:
-                continue
-            dist = min(abs(p - a) for a in anchors)
-            moves.append((dist, side, p))
-    moves.sort(key=lambda m: -m[0])
+    for side, n, played in ((0, size_a, xs), (1, size_b, ys)):
+        bounds = [0, *sorted(played), n + 1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            for p in range(lo + 1, hi):
+                moves.append((min(p - lo, hi - p), side, p))
+    # stable: equally far moves keep side, then point, order
+    moves.sort(key=itemgetter(0), reverse=True)
     return [(side, p) for _, side, p in moves]
 
 
-def _responses(W: StructureView, played_w, p: int, opposite_size: int):
-    """Candidate replies ordered by similarity of relative position."""
-    played_set = set(played_w)
-    rel = p / (opposite_size + 1)
-    cands = [q for q in range(1, W.size + 1) if q not in played_set]
-    cands.sort(key=lambda q: abs(q / (W.size + 1) - rel))
-    return cands
-
-
-def _check_partial_isomorphism(A, B, pairs) -> None:
-    points = list(pairs)
-    for i, (x, y) in enumerate(points):
+def _check_partial_isomorphism(A: _Board, B: _Board, pairs) -> None:
+    for i, (x, y) in enumerate(pairs):
         if not (1 <= x <= A.size and 1 <= y <= B.size):
             raise ValueError(f"pair {(x, y)} out of range")
-        for x2, y2 in points[i:]:
+        for x2, y2 in pairs[i:]:
             if (x == x2) != (y == y2):
                 raise ValueError(
                     f"pairs {(x, y)} and {(x2, y2)} break injectivity")
-            for sym in A.symbols:
-                if (A.holds(sym, x, x2) != B.holds(sym, y, y2)
-                        or A.holds(sym, x2, x) != B.holds(sym, y2, y)):
-                    raise ValueError(
-                        f"pairs {(x, y)} and {(x2, y2)} disagree on {sym!r}")
+            diff = A.codes[x][x2] ^ B.codes[y][y2]
+            if diff:
+                # the lowest differing bit names the symbol
+                sym = A.view.symbols[((diff & -diff).bit_length() - 1) // 2]
+                raise ValueError(
+                    f"pairs {(x, y)} and {(x2, y2)} disagree on {sym!r}")
 
 
 def _convex_side_key(V: StructureView, played: tuple[int, ...]):
@@ -362,14 +413,15 @@ def _convex_side_key(V: StructureView, played: tuple[int, ...]):
             gaps.append(((), False, False))
             continue
         c_first, c_last = cls_of[first], cls_of[last]
-        sizes = []
-        for c in range(c_first, c_last + 1):
-            start = starts[c]
-            end = start + parts[c] - 1
-            sizes.append(min(end, last) - max(start, first) + 1)
+        if c_first == c_last:
+            sizes = (hi - lo - 1,)
+        else:
+            # the gap's blocks, less the points of the end blocks outside it
+            sizes = ((starts[c_first + 1] - first,) + parts[c_first + 1:c_last]
+                     + (hi - starts[c_last],))
         la = lo >= 1 and cls_of[lo] == c_first
         ra = hi <= n and cls_of[hi] == c_last
-        gaps.append((tuple(sizes), la, ra))
+        gaps.append((sizes, la, ra))
     return (ebits, tuple(gaps))
 
 

@@ -647,12 +647,13 @@ def verify_chain_states(chain: Chain, solver: GameSolver | None = None) -> None:
     """Re-check that representatives are pairwise non-equivalent with the
     game solver; raises naming the offending pair."""
     s = solver if solver is not None else GameSolver()
-    reps = [st.representative for st in chain.states]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if s.equiv(reps[i], reps[j], chain.k):
+    views = [as_relational("convex", st.representative.shape)
+             for st in chain.states]
+    for i in range(len(views)):
+        for j in range(i + 1, len(views)):
+            if s.equiv(views[i], views[j], chain.k):
                 raise InternalVerificationError(
-                    f"states {i} ({reps[i].shape}) and {j} ({reps[j].shape}) "
+                    f"states {i} ({views[i].shape}) and {j} ({views[j].shape}) "
                     f"are equivalent at depth {chain.k}")
 
 

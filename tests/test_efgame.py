@@ -9,6 +9,7 @@ from limlaw.efgame import (
     GameConfig,
     GameSolver,
     MarkedSegment,
+    _pair_codes,
     clear_fast_memo,
     duplicator_wins,
     equiv_k,
@@ -18,11 +19,12 @@ from limlaw.efgame import (
     reduce_representative,
     shape_type_id,
 )
-from limlaw.limitchain import build_chain
+from limlaw.limitchain import build_chain, verify_chain_states
 from limlaw.logic import SIGNATURES, SignatureError, evaluate, parse, \
     quantifier_depth, translate_to_convex
 from limlaw.structures import (
     BULLET,
+    THEORIES,
     ConvexLinearOrder,
     PartSequence,
     as_relational,
@@ -115,25 +117,29 @@ class TestGenericSolver:
                         return False
             return True
 
-        rng = random.Random(211)
-        solver = GameSolver()
-        built = 0
-        while built < 150:
-            A = as_relational("convex", random_shape(rng, 7))
-            B = as_relational("convex", random_shape(rng, 7))
-            pairs = []
-            for _ in range(rng.randint(0, 2)):
-                free_a = [p for p in A.points() if p not in {x for x, _ in pairs}]
-                free_b = [q for q in B.points() if q not in {y for _, y in pairs}]
-                if free_a and free_b:
-                    pairs.append((rng.choice(free_a), rng.choice(free_b)))
-            cfg = GameConfig(A, B, tuple(pairs), 1)
-            try:
-                value = solver.config_value(cfg)
-            except ValueError:
-                continue
-            assert value == raw_one_round(A, B, sorted(pairs))
-            built += 1
+        for theory in THEORIES:
+            rng = random.Random(211)
+            solver = GameSolver()
+            built = 0
+            while built < 150:
+                A = as_relational(theory, random_shape(rng, 7))
+                B = as_relational(theory, random_shape(rng, 7))
+                pairs = []
+                for _ in range(rng.randint(0, 2)):
+                    free_a = [p for p in A.points()
+                              if p not in {x for x, _ in pairs}]
+                    free_b = [q for q in B.points()
+                              if q not in {y for _, y in pairs}]
+                    if free_a and free_b:
+                        pairs.append((rng.choice(free_a), rng.choice(free_b)))
+                cfg = GameConfig(A, B, tuple(pairs), 1)
+                try:
+                    value = solver.config_value(cfg)
+                except ValueError:
+                    continue
+                assert value == raw_one_round(A, B, sorted(pairs)), \
+                    (theory, str(A.shape), str(B.shape), pairs)
+                built += 1
 
     def test_canonical_keys_agree_on_mid_game_positions(self):
         # play random consistent openings and compare the two key schemes on
@@ -159,6 +165,36 @@ class TestGenericSolver:
                 continue  # the random opening was not a partial isomorphism
             assert fast.config_value(cfg) == value_slow
             built += 1
+
+    @pytest.mark.parametrize("theory", THEORIES)
+    def test_pair_codes_match_holds(self, theory):
+        for shape in shapes_up_to(6):
+            view = as_relational(theory, shape)
+            table = _pair_codes(view)
+            assert len(table) == view.size + 1
+            for p in view.points():
+                row = table[p]
+                assert len(row) == view.size + 1 and row[0] == row[p]
+                for a in view.points():
+                    code = row[a]
+                    for i, sym in enumerate(view.symbols):
+                        assert (code >> 2 * i) & 1 == view.holds(sym, p, a)
+                        assert (code >> 2 * i + 1) & 1 == view.holds(sym, a, p)
+                    assert code >> 2 * len(view.symbols) == 0
+
+    @pytest.mark.parametrize("theory", ["layered", "fractured"])
+    def test_interdefinable_theories_match_the_segment_decider(self, theory):
+        # layered permutations and fractured orders define the convex < and
+        # E without quantifiers (and back), so they have the convex games
+        shapes = shapes_up_to(6)
+        views = [as_relational(theory, s) for s in shapes]
+        solver = GameSolver()
+        for k in range(4):
+            for i, a in enumerate(shapes):
+                for j in range(i, len(shapes)):
+                    assert solver.equiv(views[i], views[j], k) \
+                        == fast_equiv_shapes(a, shapes[j], k), \
+                        (str(a), str(shapes[j]), k)
 
     def test_works_on_other_theories(self):
         a = as_relational("layered", PartSequence((2, 1)))
@@ -397,3 +433,17 @@ def test_segment_decider_work_is_pinned():
     assert [str(s.representative.shape) for s in chain.states] \
         == DEPTH2_REPRESENTATIVES
     assert fast_memo_size() == 319
+
+
+def test_game_search_work_is_pinned():
+    # nodes the generic solver visits; a change here is a change in its move
+    # order or pruning, not only in its speed
+    solver = GameSolver()
+    verify_chain_states(build_chain(2), solver)
+    assert solver.nodes == 13353
+    a, b = PartSequence((2, 1, 3)), PartSequence((3, 1, 2))
+    for theory, nodes in (("convex", 20), ("layered", 20),
+                          ("composition", 48), ("fractured", 20)):
+        solver = GameSolver()
+        solver.equiv(as_relational(theory, a), as_relational(theory, b), 3)
+        assert solver.nodes == nodes, theory
