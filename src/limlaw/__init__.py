@@ -57,7 +57,6 @@ from .limitchain import (
     build_sentence_chain,
     chain_to_dot,
     chain_to_json,
-    chain_walk,
     check_fully_aperiodic,
     distribution_after,
     estimate_probability,

@@ -197,15 +197,21 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int that is at least ``low``."""
+    def parse_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse_int
+
+
+_positive_int, _non_negative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _add_formula_options(sub) -> None:
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("limit", help="exact limiting probability of a sentence")
     p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
     _add_formula_options(p)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="re-check state distinctness with the game solver")
     p.add_argument("--emit-json", metavar="PATH")
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     # checked here, before any chain is built
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--compare-limit", action="store_true")
     p.add_argument("--emit-json", metavar="PATH")
     p.set_defaults(func=cmd_estimate)
@@ -257,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
     p.add_argument("left", help="structure literal, e.g. 2,1,3")
     p.add_argument("right", help="structure literal")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--k", type=_non_negative_int, required=True)
+    p.add_argument("--budget", type=_positive_int, default=None,
+                   help="node budget of the game-tree solver only")
     p.add_argument("--oracle", action="store_true",
                    help="force the generic game-tree solver")
     p.add_argument("--emit-json", metavar="PATH")
@@ -266,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("states",
                         help="the sentence-independent class machine for k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--k", type=_non_negative_int, required=True)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--emit-json", metavar="PATH")
     p.add_argument("--emit-dot", metavar="PATH")

@@ -10,8 +10,9 @@ cross-check the other:
   points; for everything else it is the exact point tuples.  Either key is a
   pure isomorphism invariant of the position — correctness never depends on
   which one is used, only speed does.  The solver reads each structure once,
-  through ``holds`` alone, into a pair-code table: one small int per ordered
-  pair of points, packing every symbol of the signature in both directions.
+  through the view's ``relation`` (the same definitions ``holds`` reads),
+  into a pair-code table: one small int per ordered pair of points, packing
+  every symbol of the signature in both directions.
   Consistency of a reply, the one-point extension types and the
   partial-isomorphism check all compare codes.  A position with one round
   left is decided by comparing the two sides' extension types, without a
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+
+import numpy as np
 
 from .logic import BudgetExceededError, SignatureError
 from .structures import (
@@ -208,6 +211,8 @@ class GameSolver:
         self._orders: dict = {}
 
     def equiv(self, a, b, k: int) -> bool:
+        if k < 0:
+            raise ValueError("k must be >= 0")
         left, right = structure_view(a), structure_view(b)
         if left.signature != right.signature:
             raise SignatureError(
@@ -331,7 +336,7 @@ class _Board:
 
 
 def _pair_codes(V: StructureView) -> tuple[tuple[int, ...], ...]:
-    """The view's pair-code table, read from ``holds`` alone.
+    """The view's pair-code table, read from ``relation``.
 
     ``table[p][a]`` packs ``holds(s_i, p, a)`` at bit 2i and
     ``holds(s_i, a, p)`` at bit 2i+1 for the i-th symbol of ``V.symbols``,
@@ -339,22 +344,13 @@ def _pair_codes(V: StructureView) -> tuple[tuple[int, ...], ...]:
     ``table[p][0]`` repeats ``table[p][p]``: ``itemgetter(0, *played)``
     then reads p's whole atomic type over the played points.
     """
-    holds, n = V.holds, V.size
-    bits = [(sym, 1 << 2 * i, 2 << 2 * i) for i, sym in enumerate(V.symbols)]
-    table = [()]
-    for p in range(1, n + 1):
-        row = [0] * (n + 1)
-        for a in range(1, n + 1):
-            code = 0
-            for sym, forward, backward in bits:
-                if holds(sym, p, a):
-                    code |= forward
-                if holds(sym, a, p):
-                    code |= backward
-            row[a] = code
-        row[0] = row[p]
-        table.append(tuple(row))
-    return tuple(table)
+    points = np.arange(1, V.size + 1)
+    codes = np.zeros((V.size, V.size), dtype=np.int64)
+    for i, sym in enumerate(V.symbols):
+        forward = V.relation(sym, points[:, None], points).astype(np.int64)
+        codes |= forward << 2 * i | forward.T << 2 * i + 1
+    rows = np.column_stack((codes.diagonal(), codes)).tolist()
+    return ((), *map(tuple, rows))
 
 
 def _one_round_value(A: _Board, B: _Board, pairs) -> bool:

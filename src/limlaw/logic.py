@@ -13,6 +13,9 @@ Grammar (ASCII spellings; ``p1``/``p2`` spell the two partial orders):
     atom       := IDENT REL IDENT
     REL        := "<" | "E" | "<1" | "<2" | "p1" | "p2" | "="
 
+Every atom, equality included, is an :class:`Atom` whose ``symbol`` is its
+REL; ``=`` is accepted under every signature.
+
 The pretty-printer emits this same grammar and round-trips through
 :func:`parse` up to whitespace and redundant parentheses, for every formula
 at most ``MAX_NESTING // 2`` levels deep (see :func:`format_formula`).
@@ -25,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .structures import RELATION_SYMBOLS
+from .structures import RELATION_SYMBOLS, RELATIONS
 
 
 class FormulaSyntaxError(ValueError):
@@ -64,10 +67,8 @@ SIGNATURES: dict[str, Signature] = {
     for theory, symbols in RELATION_SYMBOLS.items()
 }
 
-REL_SPELLINGS = ("<->", "->", "<1", "<2", "<", "=", "E", "p1", "p2")
-ATOM_RELS = frozenset({"<", "E", "<1", "<2", "p1", "p2", "="})
 KEYWORDS = frozenset({"forall", "exists", "true", "false"})
-_RESERVED_WORDS = KEYWORDS | {"E", "p1", "p2"}
+_RESERVED_WORDS = KEYWORDS | {s for s in RELATIONS if s.isidentifier()}
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -80,17 +81,6 @@ _RESERVED_WORDS = KEYWORDS | {"E", "p1", "p2"}
 @dataclass(frozen=True)
 class Atom:
     symbol: str
-    left: str
-    right: str
-    nesting = 0
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "free", frozenset((self.left, self.right)))
-
-
-@dataclass(frozen=True)
-class Equals:
     left: str
     right: str
     nesting = 0
@@ -178,7 +168,7 @@ class Forall(_Quantifier):
     pass
 
 
-Formula = Union[Atom, Equals, TrueFormula, FalseFormula, Not, And, Or,
+Formula = Union[Atom, TrueFormula, FalseFormula, Not, And, Or,
                 Implies, Iff, Exists, Forall]
 
 TRUE = TrueFormula()
@@ -340,13 +330,12 @@ class _Parser:
         left = self._ident(pos)
         rel_pos = self._pos()
         rel = self._next()
-        if rel not in ATOM_RELS:
+        if rel not in RELATIONS:
             raise FormulaSyntaxError(
                 f"expected a relation symbol, found {rel!r}", rel_pos)
         right = self._ident(self._pos())
-        if rel == "=":
-            return Equals(left, right)
-        if self.sig is not None and rel not in self.sig.relations:
+        if (self.sig is not None and rel != "="
+                and rel not in self.sig.relations):
             raise SignatureError(
                 f"relation {rel!r} is not in the {self.sig.theory} signature "
                 f"(at position {rel_pos})")
@@ -389,8 +378,6 @@ def format_formula(f: Formula) -> str:
 def _format(f: Formula) -> str:
     if isinstance(f, Atom):
         return f"{f.left} {f.symbol} {f.right}"
-    if isinstance(f, Equals):
-        return f"{f.left} = {f.right}"
     if isinstance(f, TrueFormula):
         return "true"
     if isinstance(f, FalseFormula):
@@ -427,7 +414,7 @@ def quantifier_depth(f: Formula) -> int:
 
 
 def _quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Equals, TrueFormula, FalseFormula)):
+    if isinstance(f, (Atom, TrueFormula, FalseFormula)):
         return 0
     if isinstance(f, Not):
         return _quantifier_depth(f.body)
@@ -445,8 +432,8 @@ def free_variables(f: Formula) -> frozenset[str]:
 def formula_symbols(f: Formula) -> frozenset[str]:
     """Relation symbols occurring in ``f`` (equality excluded)."""
     if isinstance(f, Atom):
-        return frozenset({f.symbol})
-    if isinstance(f, (Equals, TrueFormula, FalseFormula)):
+        return frozenset() if f.symbol == "=" else frozenset({f.symbol})
+    if isinstance(f, (TrueFormula, FalseFormula)):
         return frozenset()
     if isinstance(f, Not):
         return formula_symbols(f.body)
@@ -616,10 +603,9 @@ def _compile_program(f: Formula) -> _Program:
     while work:
         g, scope = work.pop()
         kind = type(g)
-        if kind is Atom or kind is Equals:
-            symbol = g.symbol if kind is Atom else "="
-            symbols.add(symbol)
-            steps.append((_RELATION, symbol, scope.get(g.left, g.left),
+        if kind is Atom:
+            symbols.add(g.symbol)
+            steps.append((_RELATION, g.symbol, scope.get(g.left, g.left),
                           scope.get(g.right, g.right)))
         elif kind is Not:
             steps.append((_NOT,))
@@ -733,9 +719,10 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
 # --- atomic rewritings between theories --------------------------------------
 
 def _rewrite_atoms(f: Formula, table) -> Formula:
+    """``f`` with every atom but equality replaced by ``table(atom)``."""
     if isinstance(f, Atom):
-        return table(f)
-    if isinstance(f, (Equals, TrueFormula, FalseFormula)):
+        return f if f.symbol == "=" else table(f)
+    if isinstance(f, (TrueFormula, FalseFormula)):
         return f
     if isinstance(f, Not):
         return Not(_rewrite_atoms(f.body, table))

@@ -5,9 +5,10 @@ the steps as a word whose positions are the points (with an end marker for
 the last point), point order is position order and two points are
 class-equivalent exactly when every step strictly between them grows the
 last class.  Every sentence therefore defines a regular language of step
-strings: atoms compile to two-track automata of at most four states,
-connectives to products and complements, quantifiers to projection
-followed by subset construction, with eager minimization throughout.
+strings: atoms compile to two-track automata of at most four states
+(built once per symbol and order of the two names), connectives to
+products and complements, quantifiers to projection followed by subset
+construction, with eager minimization throughout.
 
 Letters are integers.  Over the sorted free variables ``v_0 < v_1 < ...``,
 letter ``l`` has step bit ``l >> len(variables)`` (0 starts a new class
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from .logic import (
     And,
     Atom,
-    Equals,
     Exists,
     FalseFormula,
     Forall,
@@ -153,7 +153,15 @@ def _same_class_step(q: int, bit: int, x: bool, y: bool) -> int:
     return _MID if bit == 1 else _DEAD
 
 
-def _atom(x: str, y: str, step) -> _DFA:
+#: symbol -> (step rule, value of the atom when both names are equal)
+_STEP_RULES = {
+    "<": (_lt_step, False),
+    "E": (_same_class_step, True),
+    "=": (_eq_step, True),
+}
+
+
+def _two_track(x: str, y: str, step) -> _DFA:
     """The atom of distinct variables x and y whose step rule is ``step``,
     over the 12 letters of two tracks."""
     variables = tuple(sorted((x, y)))
@@ -163,6 +171,22 @@ def _atom(x: str, y: str, step) -> _DFA:
     trans = rows + ((_ACC,) * 12, (_DEAD,) * 12)
     return _minimize(_reachable(
         _DFA(variables, _NONE, frozenset({_ACC}), trans)))
+
+
+#: (symbol, whether the left name sorts first) -> the atom's automaton,
+#: built once over the tracks of the placeholder names ("a", "b")
+_ATOMS = {(symbol, x < y): _two_track(x, y, step)
+          for symbol, (step, _) in _STEP_RULES.items()
+          for x, y in ("ab", "ba")}
+
+
+def _atom(f: Atom) -> _DFA:
+    """The automaton of an atom of the convex language."""
+    x, y = f.left, f.right
+    if x == y:
+        return _const((x,), _STEP_RULES[f.symbol][1])
+    dfa = _ATOMS[f.symbol, x < y]
+    return _DFA((x, y) if x < y else (y, x), dfa.start, dfa.accept, dfa.trans)
 
 
 def _lift(dfa: _DFA, variables: tuple[str, ...]) -> _DFA:
@@ -230,21 +254,8 @@ def _compile(f: Formula) -> _DFA:
         return _const((), True)
     if isinstance(f, FalseFormula):
         return _const((), False)
-    if isinstance(f, Equals):
-        if f.left == f.right:
-            return _const((f.left,), True)
-        return _atom(f.left, f.right, _eq_step)
     if isinstance(f, Atom):
-        if f.symbol == "<":
-            if f.left == f.right:
-                return _const((f.left,), False)
-            return _atom(f.left, f.right, _lt_step)
-        if f.symbol == "E":
-            if f.left == f.right:
-                return _const((f.left,), True)
-            return _atom(f.left, f.right, _same_class_step)
-        raise SignatureError(
-            f"relation {f.symbol!r} is not in the convex signature")
+        return _atom(f)
     if isinstance(f, Not):
         return _complement(_compile(f.body))
     if isinstance(f, And):

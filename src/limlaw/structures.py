@@ -4,7 +4,9 @@ All four theories — convex linear orders, layered permutations, compositions,
 and fractured orders — are determined up to isomorphism by the ordered
 sequence of their class/block/part sizes, so a single :class:`PartSequence`
 is the shared canonical form.  Points are numbered 1..n in <-order
-(respectively <1-order); relations are derived from prefix sums.
+(respectively <1-order).  Each relation symbol, equality included, has one
+definition in :data:`RELATIONS`, a function of the two points and their
+class indices that every view reads, point by point and over arrays.
 
 Everything here is immutable.
 """
@@ -26,6 +28,28 @@ RELATION_SYMBOLS: dict[str, tuple[str, ...]] = {
     "layered": ("<1", "<2"),
     "composition": ("E", "p1"),
     "fractured": ("E", "p1", "p2"),
+}
+
+#: The one definition of every relation symbol, equality included: whether
+#: ``i symbol j`` holds for points ``i`` and ``j`` in classes ``ci`` and
+#: ``cj``.  The operators mean the same on ints and on int arrays, so
+#: :meth:`StructureView.holds` and :meth:`StructureView.relation` both read
+#: this table.
+RELATIONS = {
+    "=": lambda i, j, ci, cj: i == j,
+    "<": lambda i, j, ci, cj: i < j,
+    "<1": lambda i, j, ci, cj: i < j,
+    # within a block <2 reverses <1; across blocks they agree
+    "<2": lambda i, j, ci, cj: ((ci == cj) & (j < i)) | ((ci != cj) & (i < j)),
+    "E": lambda i, j, ci, cj: ci == cj,
+    "p1": lambda i, j, ci, cj: ci < cj,
+    "p2": lambda i, j, ci, cj: (ci == cj) & (i < j),
+}
+
+#: Each theory's relations, ``=`` included, shared by all of its views.
+_THEORY_RELATIONS = {
+    theory: {symbol: RELATIONS[symbol] for symbol in ("=", *symbols)}
+    for theory, symbols in RELATION_SYMBOLS.items()
 }
 
 
@@ -228,9 +252,10 @@ def fractured_to_convex(f: FracturedOrder) -> ConvexLinearOrder:
 class StructureView:
     """Uniform read-only relational view of a structure.
 
-    Exposes ``size`` and an evaluator ``holds(symbol, i, j)`` for each binary
-    relation symbol of the theory's signature, on points 1..size, and the
-    same relations over arrays of points (``relation``).
+    Exposes ``size`` and an evaluator ``holds(symbol, i, j)`` for ``=`` and
+    each binary relation symbol of the theory's signature, on points
+    1..size, and the same relations over arrays of points (``relation``).
+    Both read :data:`RELATIONS`.
     """
 
     __slots__ = ("theory", "shape", "size", "signature", "symbols",
@@ -255,37 +280,8 @@ class StructureView:
                 point += 1
         self.cls_of = tuple(cls_of)
         self.class_starts = tuple(starts)
-        self._rel = self._build_relations()
+        self._rel = _THEORY_RELATIONS[theory]
         self._classes: np.ndarray | None = None  # cls_of, for relation()
-
-    def _build_relations(self):
-        cls_of = self.cls_of
-
-        def lt(i, j):
-            return i < j
-
-        def same_class(i, j):
-            return cls_of[i] == cls_of[j]
-
-        def lt2(i, j):
-            # within a block <2 reverses <1; across blocks they agree
-            if cls_of[i] == cls_of[j]:
-                return j < i
-            return i < j
-
-        def class_lt(i, j):
-            return cls_of[i] < cls_of[j]
-
-        def within_lt(i, j):
-            return cls_of[i] == cls_of[j] and i < j
-
-        if self.theory == "convex":
-            return {"<": lt, "E": same_class}
-        if self.theory == "layered":
-            return {"<1": lt, "<2": lt2}
-        if self.theory == "composition":
-            return {"E": same_class, "p1": class_lt}
-        return {"E": same_class, "p1": class_lt, "p2": within_lt}
 
     def holds(self, symbol: str, i: int, j: int) -> bool:
         try:
@@ -294,32 +290,25 @@ class StructureView:
             raise ValueError(
                 f"relation {symbol!r} not in the {self.theory} signature"
             ) from None
-        return rel(i, j)
+        cls_of = self.cls_of
+        return rel(i, j, cls_of[i], cls_of[j])
 
     def relation(self, symbol: str, left: np.ndarray, right: np.ndarray
                  ) -> np.ndarray:
         """``holds(symbol, i, j)`` over the broadcast integer arrays ``left``
-        and ``right`` of points, for a relation symbol of the signature or
-        ``=``.  The work is that of the broadcast result: points on one axis
-        give a row, a column or a diagonal, on two axes a matrix."""
-        if symbol == "=":
-            return left == right
-        if symbol not in self._rel:
+        and ``right`` of points.  The work is that of the broadcast result:
+        points on one axis give a row, a column or a diagonal, on two axes a
+        matrix."""
+        try:
+            rel = self._rel[symbol]
+        except KeyError:
             raise ValueError(
-                f"relation {symbol!r} not in the {self.theory} signature")
-        if symbol in ("<", "<1"):
-            return left < right
+                f"relation {symbol!r} not in the {self.theory} signature"
+            ) from None
         if self._classes is None:
             self._classes = np.array(self.cls_of)
-        cls_left, cls_right = self._classes[left], self._classes[right]
-        if symbol == "E":
-            return cls_left == cls_right
-        if symbol == "p1":
-            return cls_left < cls_right
-        if symbol == "p2":
-            return (cls_left == cls_right) & (left < right)
-        # <2: within a block it reverses <1; across blocks they agree
-        return np.where(cls_left == cls_right, right < left, left < right)
+        classes = self._classes
+        return rel(left, right, classes[left], classes[right])
 
     def points(self) -> range:
         return range(1, self.size + 1)

@@ -16,7 +16,6 @@ from pathlib import Path
 from limlaw.logic import (
     And,
     Atom,
-    Equals,
     Exists,
     FalseFormula,
     Forall,
@@ -38,9 +37,9 @@ def recursive_evaluate(struct, f, env=None) -> bool:
 
     def rec(g) -> bool:
         if isinstance(g, Atom):
+            if g.symbol == "=":
+                return scope[g.left] == scope[g.right]
             return struct.holds(g.symbol, scope[g.left], scope[g.right])
-        if isinstance(g, Equals):
-            return scope[g.left] == scope[g.right]
         if isinstance(g, TrueFormula):
             return True
         if isinstance(g, FalseFormula):

@@ -18,6 +18,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(capsys, *argv, option):
+    """The command line is rejected with exit 2, naming ``option``."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {option}: must be >= " in capsys.readouterr().err
+
+
 def count_solves(monkeypatch):
     """The chains of every exact limit solve made from now on."""
     from limlaw import limitchain
@@ -119,6 +127,11 @@ class TestLimit:
             assert code == 0
             assert f"limit = {limit}" in out
 
+    def test_bad_budget_exit_2(self, capsys):
+        for budget in ("0", "-5"):
+            assert_usage_error(capsys, "limit", "--formula", PAIR,
+                               "--budget", budget, option="--budget")
+
     def test_formula_file(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text(PAIR)
@@ -173,6 +186,10 @@ class TestEstimate:
                 main(["estimate", "--formula", PAIR, *argv, "--compare-limit"])
             assert exc.value.code == 2
             assert "must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_names_the_option(self, capsys):
+        assert_usage_error(capsys, "estimate", "--formula", PAIR, "--n", "5",
+                           "--samples", "3", "--seed", "-1", option="--seed")
 
     def test_trivially_false(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--formula", "false",
@@ -258,6 +275,19 @@ class TestEf:
         assert code == 0
         assert out.splitlines()[0] == "duplicator"
 
+    def test_bad_k_and_budget_exit_2(self, capsys):
+        assert_usage_error(capsys, "ef", "1,2", "2,1", "--k", "-1",
+                           option="--k")
+        for oracle in ((), ("--oracle",)):
+            assert_usage_error(capsys, "ef", "1", "1", "--k", "1", *oracle,
+                               "--budget", "-5", option="--budget")
+
+    def test_budget_help_names_the_game_tree_solver(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ef", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "game-tree solver only" in help_text
+
     def test_bad_literal_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ef", "2,0", "1,1", "--k", "1")
         assert code == 2
@@ -281,6 +311,11 @@ class TestStates:
                                "--budget", "500")
         assert code == 3
         assert "budget" in err or "closure" in err
+
+    def test_bad_k_and_budget_exit_2(self, capsys):
+        assert_usage_error(capsys, "states", "--k", "-1", option="--k")
+        assert_usage_error(capsys, "states", "--k", "2", "--budget", "0",
+                           option="--budget")
 
     def test_solves_only_for_json(self, capsys, monkeypatch, tmp_path):
         solved = count_solves(monkeypatch)

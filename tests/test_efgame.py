@@ -77,6 +77,10 @@ class TestGenericSolver:
         with pytest.raises(SignatureError):
             equiv_k(_convex(1, 1), as_relational("layered", _line(2)), 1)
 
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            GameSolver().equiv(_convex(1), _convex(1), -1)
+
     def test_budget_exhaustion_is_reported(self):
         with pytest.raises(BudgetExceededError):
             equiv_k(_convex(*(1,) * 8), _convex(*(1,) * 9), 3, budget=5)

@@ -13,7 +13,6 @@ from limlaw.logic import (
     And,
     Atom,
     BudgetExceededError,
-    Equals,
     EvaluationError,
     Exists,
     FALSE,
@@ -50,8 +49,16 @@ class TestParser:
     def test_pinned_examples(self):
         f = parse("exists x. exists y. (x E y & !(x = y))")
         assert f == Exists("x", Exists("y", And(Atom("E", "x", "y"),
-                                                Not(Equals("x", "y")))))
+                                                Not(Atom("=", "x", "y")))))
         assert parse("forall x. x < x") == Forall("x", Atom("<", "x", "x"))
+
+    def test_equality_is_an_atom_under_every_signature(self):
+        for sig in (None, *SIGNATURES.values()):
+            assert parse("x = y", sig) == Atom("=", "x", "y")
+        for theory in THEORIES:
+            assert translate_to_convex(theory, Atom("=", "x", "y")) == \
+                Atom("=", "x", "y")
+        assert formula_symbols(parse("x = y & x E y")) == {"E"}
 
     def test_free_variables_reported_not_fatal(self):
         f = parse("x < y")
@@ -87,9 +94,9 @@ class TestParser:
         from limlaw.limitchain import analyze_limit
         from limlaw.stepauto import compile_sentence
 
-        body = Equals("x", "x")
+        body = Atom("=", "x", "x")
         for _ in range(1500):
-            body = And(body, Equals("x", "x"))
+            body = And(body, Atom("=", "x", "x"))
         f = Exists("x", body)
         view = as_relational("convex", PartSequence((1,)))
         for entry_point in (quantifier_depth, format_formula, ensure_sentence,
@@ -125,7 +132,7 @@ class TestParser:
 
     def test_quantifier_scope_extends_right(self):
         f = parse("forall x. x = x & false")
-        assert f == Forall("x", And(Equals("x", "x"), FALSE))
+        assert f == Forall("x", And(Atom("=", "x", "x"), FALSE))
 
     def test_battery_parses(self):
         for entry in BATTERY:
@@ -143,7 +150,7 @@ def _random_formula(rng, variables, depth):
         sym = rng.choice(["<", "E", "<1", "<2", "p1", "p2"])
         return Atom(sym, a, b)
     if kind == 3 and bound:
-        return Equals(rng.choice(bound), rng.choice(bound))
+        return Atom("=", rng.choice(bound), rng.choice(bound))
     if kind == 4:
         return Not(_random_formula(rng, variables, depth - 1))
     if kind in (5, 6, 7):
@@ -176,7 +183,7 @@ class TestPrinter:
 
     def test_round_trip_up_to_half_the_cap(self):
         # every tree level prints at most two levels of nesting ("!(")
-        f = Equals("x", "x")
+        f = Atom("=", "x", "x")
         for _ in range(MAX_NESTING // 2):
             f = Not(f)
         assert parse(format_formula(f)) == f
@@ -184,7 +191,7 @@ class TestPrinter:
             parse(format_formula(Exists("x", f)))
 
     def test_quantifier_under_connective_parenthesized(self):
-        f = And(Forall("x", Equals("x", "x")), FALSE)
+        f = And(Forall("x", Atom("=", "x", "x")), FALSE)
         assert parse(format_formula(f)) == f
 
 
@@ -397,7 +404,7 @@ def _formulas(draw, relations, depth, bound=()):
     names = st.sampled_from(bound[::-1] + _VARIABLES)
     symbol = draw(st.sampled_from(relations))
     left, right = draw(names), draw(names)
-    return Equals(left, right) if symbol == "=" else Atom(symbol, left, right)
+    return Atom(symbol, left, right)
 
 
 @st.composite

@@ -72,6 +72,16 @@ class TestCompilation:
         with pytest.raises(SignatureError):
             compile_sentence(parse("exists x. exists y. x p1 y"))
 
+    def test_atom_automata_are_built_once(self, monkeypatch):
+        from limlaw import stepauto
+
+        def never(*args):
+            raise AssertionError("an atom automaton was built again")
+
+        monkeypatch.setattr(stepauto, "_two_track", never)
+        for text in EXTRA_SENTENCES:
+            compile_sentence(parse(text, SIGNATURES["convex"]))
+
     def test_minimal_sizes_of_known_languages(self):
         # the state numbering is part of the output (--emit-json, --emit-dot):
         # breadth-first from the start, new class before grow
