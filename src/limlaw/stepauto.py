@@ -14,10 +14,25 @@ Letters are integers.  Over the sorted free variables ``v_0 < v_1 < ...``,
 letter ``l`` has step bit ``l >> len(variables)`` (0 starts a new class
 after this point, 1 grows the last class, 2 marks the last point) and
 marks ``v_i`` at this point when bit ``i`` of ``l`` is set; the alphabet is
-``range(3 << len(variables))``.  A transition table is a tuple of rows, one
-per state, each a tuple of successors indexed by letter.  Every stage
-numbers its states breadth-first from the start (``_explore``) and merges
-equivalent ones (``_minimize``).
+``range(3 << len(variables))``.  Most letters act alike: an atom reads only
+the step bit and its own two tracks, so its ``3 << k`` letters over k
+variables show at most 12 behaviours.  An automaton therefore stores
+columns: ``column`` maps each letter to a column, numbered in order of its
+first letter, and the transition table is a tuple of rows, one per state,
+each a tuple of successors indexed by column.  Products pair columns,
+projection pairs a letter's unmarked and marked columns, and minimization
+merges columns that act alike, so the work of a stage grows with the
+distinct behaviours of its letters, not with the alphabet.
+
+Every stage numbers its states breadth-first from the start (``_explore``)
+and merges equivalent ones (``_minimize``).  Because columns are numbered by
+first letter, exploring column by column finds the states in the same order
+as exploring letter by letter would.  Sinks, states that loop to themselves
+on every column, are collapsed while exploring: a product state with a sink
+component whose acceptance decides the connective is that connective's
+constant, and a projected state drops its placed runs in a dead sink and is
+the accepting constant once one is in an accepting sink.  Both keep the
+language on every word, so the minimal automaton is the same.
 
 The resulting minimal automaton, read with fair-coin transitions, is a
 quotient of the class chain for the sentence's quantifier depth:
@@ -50,25 +65,23 @@ from .logic import (
     formula_symbols,
 )
 
-_END = 2  # step bit of the end marker; 0 starts a new class, 1 grows the last
-
-
 @dataclass(frozen=True)
 class _DFA:
-    """Complete DFA; ``trans[q][l]`` is the successor of state ``q`` on
-    letter ``l`` of ``range(3 << len(variables))`` (only the two step
-    letters in the final automaton of ``compile_sentence``)."""
+    """Complete DFA; ``trans[q][column[l]]`` is the successor of state ``q``
+    on letter ``l`` of ``range(3 << len(variables))``.  Columns are numbered
+    in order of their first letter."""
 
     variables: tuple[str, ...]
     start: int
     accept: frozenset[int]
     trans: tuple[tuple[int, ...], ...]
+    column: tuple[int, ...]
 
 
 def _refine(classes: list[int], successors) -> list[int]:
     """Moore partition refinement: the coarsest refinement of ``classes``
     (a class id per state) in which states of one class have successors in
-    the same classes, letter by letter.  Classes are numbered in order of
+    the same classes, column by column.  Classes are numbered in order of
     their first state."""
     count = len(set(classes))
     while True:
@@ -82,22 +95,29 @@ def _refine(classes: list[int], successors) -> list[int]:
 
 
 def _minimize(dfa: _DFA) -> _DFA:
-    """Merge equivalent states.  A breadth-first numbered input gives a
-    breadth-first numbered output."""
+    """Merge equivalent states, then columns that are equal after the
+    quotient.  A breadth-first numbered input gives a breadth-first numbered
+    output, with pairwise distinct columns numbered by first letter."""
     cls = _refine([q in dfa.accept for q in range(len(dfa.trans))], dfa.trans)
     reps = {}
     for q, c in enumerate(cls):
         reps.setdefault(c, q)
-    trans = tuple(tuple(map(cls.__getitem__, dfa.trans[q]))
-                  for q in reps.values())
+    rows = [tuple(map(cls.__getitem__, dfa.trans[q])) for q in reps.values()]
+    merged: dict = {}
+    renumber = [merged.setdefault(col, len(merged)) for col in zip(*rows)]
+    trans = tuple(zip(*merged)) if len(merged) < len(renumber) else tuple(rows)
     accept = frozenset(c for c, q in reps.items() if q in dfa.accept)
-    return _DFA(dfa.variables, cls[dfa.start], accept, trans)
+    return _DFA(dfa.variables, cls[dfa.start], accept, trans,
+                tuple(map(renumber.__getitem__, dfa.column)))
 
 
-def _explore(start, successors) -> tuple[list, tuple[tuple[int, ...], ...]]:
+def _explore(start, successors, canonical=None
+             ) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """Breadth-first numbering of the states reachable from ``start``, where
-    ``successors(state)`` lists a state's successors letter by letter.
-    Returns the states in order and the numbered transition rows."""
+    ``successors(state)`` lists a state's successors column by column.  A
+    state seen for the first time is replaced by ``canonical(state)`` when
+    that is given, and both then share one number.  Returns the states in
+    order and the numbered transition rows."""
     order = [start]
     index = {start: 0}
     trans = []
@@ -106,8 +126,12 @@ def _explore(start, successors) -> tuple[list, tuple[tuple[int, ...], ...]]:
         for succ in successors(state):
             s = index.get(succ)
             if s is None:
-                s = index[succ] = len(order)
-                order.append(succ)
+                key = succ if canonical is None else canonical(succ)
+                s = index.get(key)
+                if s is None:
+                    s = index[key] = len(order)
+                    order.append(key)
+                index[succ] = s
             row.append(s)
         trans.append(tuple(row))
     return order, tuple(trans)
@@ -115,15 +139,20 @@ def _explore(start, successors) -> tuple[list, tuple[tuple[int, ...], ...]]:
 
 def _reachable(dfa: _DFA) -> _DFA:
     """The part of ``dfa`` reachable from its start, numbered breadth-first
-    in letter order."""
+    in column order."""
     order, trans = _explore(dfa.start, dfa.trans.__getitem__)
     accept = frozenset(s for s, q in enumerate(order) if q in dfa.accept)
-    return _DFA(dfa.variables, 0, accept, trans)
+    return _DFA(dfa.variables, 0, accept, trans, dfa.column)
+
+
+def _sinks(dfa: _DFA) -> list[int]:
+    """The states that loop to themselves on every column."""
+    return [q for q, row in enumerate(dfa.trans) if row.count(q) == len(row)]
 
 
 def _const(variables: tuple[str, ...], value: bool) -> _DFA:
-    return _DFA(variables, 0, frozenset({0} if value else ()),
-                ((0,) * (3 << len(variables)),))
+    return _DFA(variables, 0, frozenset({0} if value else ()), ((0,),),
+                (0,) * (3 << len(variables)))
 
 
 # Two-track atoms run from NONE (no point marked yet) through MID (the
@@ -170,7 +199,7 @@ def _two_track(x: str, y: str, step) -> _DFA:
                        for l in range(12)) for q in (_NONE, _MID))
     trans = rows + ((_ACC,) * 12, (_DEAD,) * 12)
     return _minimize(_reachable(
-        _DFA(variables, _NONE, frozenset({_ACC}), trans)))
+        _DFA(variables, _NONE, frozenset({_ACC}), trans, tuple(range(12)))))
 
 
 #: (symbol, whether the left name sorts first) -> the atom's automaton,
@@ -186,36 +215,66 @@ def _atom(f: Atom) -> _DFA:
     if x == y:
         return _const((x,), _STEP_RULES[f.symbol][1])
     dfa = _ATOMS[f.symbol, x < y]
-    return _DFA((x, y) if x < y else (y, x), dfa.start, dfa.accept, dfa.trans)
+    return _DFA((x, y) if x < y else (y, x), dfa.start, dfa.accept, dfa.trans,
+                dfa.column)
 
 
 def _lift(dfa: _DFA, variables: tuple[str, ...]) -> _DFA:
     """Reinterpret over a larger sorted variable set, ignoring the new
-    marks: each letter is projected onto ``dfa``'s tracks."""
+    marks: each letter is projected onto ``dfa``'s tracks, and the columns
+    are renumbered by their first letter over the larger alphabet."""
     if dfa.variables == variables:
         return dfa
     k, own = len(variables), len(dfa.variables)
     moves = [(variables.index(v), i) for i, v in enumerate(dfa.variables)]
     project = [(l >> k << own) | sum((l >> j & 1) << i for j, i in moves)
                for l in range(3 << k)]
-    trans = tuple(tuple(map(row.__getitem__, project)) for row in dfa.trans)
-    return _DFA(variables, dfa.start, dfa.accept, trans)
+    renumber: dict = {}
+    column = tuple(renumber.setdefault(dfa.column[p], len(renumber))
+                   for p in project)
+    trans = tuple(tuple(map(row.__getitem__, renumber)) for row in dfa.trans)
+    return _DFA(variables, dfa.start, dfa.accept, trans, column)
 
 
 def _product(a: _DFA, b: _DFA, op) -> _DFA:
+    """The automaton of ``op`` applied to the acceptance of ``a`` and ``b``.
+    A pair with a sink component whose acceptance alone decides ``op``
+    becomes the canonical sink ``True`` or ``False``, the value decided."""
     variables = tuple(sorted(set(a.variables) | set(b.variables)))
     a = _lift(a, variables)
     b = _lift(b, variables)
-    order, trans = _explore((a.start, b.start),
-                            lambda p: zip(a.trans[p[0]], b.trans[p[1]]))
-    accept = frozenset(i for i, (qa, qb) in enumerate(order)
-                       if op(qa in a.accept, qb in b.accept))
-    return _minimize(_DFA(variables, 0, accept, trans))
+    pairs: dict = {}
+    column = tuple(pairs.setdefault(p, len(pairs))
+                   for p in zip(a.column, b.column))
+    ca, cb = zip(*pairs)
+    # sink -> the value of op that its acceptance decides
+    decide_a = {q: op(v, False) for q in _sinks(a) for v in [q in a.accept]
+                if op(v, False) == op(v, True)}
+    decide_b = {q: op(False, v) for q in _sinks(b) for v in [q in b.accept]
+                if op(False, v) == op(True, v)}
+
+    def canonical(pair):
+        value = decide_a.get(pair[0])
+        if value is None:
+            value = decide_b.get(pair[1])
+        return pair if value is None else value
+
+    def successors(pair):
+        if isinstance(pair, bool):
+            return (pair,) * len(ca)
+        ra, rb = a.trans[pair[0]], b.trans[pair[1]]
+        return zip(map(ra.__getitem__, ca), map(rb.__getitem__, cb))
+
+    order, trans = _explore(canonical((a.start, b.start)), successors,
+                            canonical if decide_a or decide_b else None)
+    accept = frozenset(i for i, p in enumerate(order) if (
+        p if isinstance(p, bool) else op(p[0] in a.accept, p[1] in b.accept)))
+    return _minimize(_DFA(variables, 0, accept, trans, column))
 
 
 def _complement(dfa: _DFA) -> _DFA:
     accept = frozenset(range(len(dfa.trans))) - dfa.accept
-    return _DFA(dfa.variables, dfa.start, accept, dfa.trans)
+    return _DFA(dfa.variables, dfa.start, accept, dfa.trans, dfa.column)
 
 
 def _exists(var: str, body: _DFA) -> _DFA:
@@ -224,29 +283,49 @@ def _exists(var: str, body: _DFA) -> _DFA:
     the identity.
 
     A subset state is the body's run with the mark not yet placed, which is
-    a single state, and the set of its runs with the mark placed."""
+    a single state, and the set of its runs with the mark placed.  Placed
+    runs in a dead sink are dropped, and a placed run in an accepting sink
+    makes the state the canonical accepting sink ``True``."""
     if var not in body.variables:
         return body
     i = body.variables.index(var)
     variables = body.variables[:i] + body.variables[i + 1:]
     low = (1 << i) - 1
-    # each remaining letter with the variable's bit inserted at position i,
-    # unmarked and marked
-    letters = [(u, u | 1 << i)
-               for u in ((l >> i << i + 1) | (l & low)
-                         for l in range(3 << len(variables)))]
+    # the body's columns of each remaining letter with the variable's bit
+    # inserted at position i, unmarked and marked
+    pairs: dict = {}
+    column = tuple(
+        pairs.setdefault((body.column[u], body.column[u | 1 << i]), len(pairs))
+        for u in ((l >> i << i + 1) | (l & low)
+                  for l in range(3 << len(variables))))
+    letters = list(pairs)
     trans = body.trans
+    sinks = _sinks(body)
+    dead = frozenset(q for q in sinks if q not in body.accept)
+    accepting = frozenset(sinks) - dead
+
+    def canonical(state):
+        q, placed = state
+        if not accepting.isdisjoint(placed):
+            return True
+        return state if dead.isdisjoint(placed) else (q, placed - dead)
 
     def successors(state):
+        if state is True:
+            return (True,) * len(letters)
         q, placed = state
-        row, placed_rows = trans[q], [trans[p] for p in placed]
-        return [(row[u], frozenset([row[m], *(r[u] for r in placed_rows)]))
+        row = trans[q]
+        if not placed:
+            return [(row[u], frozenset((row[m],))) for u, m in letters]
+        by_column = list(zip(*map(trans.__getitem__, placed)))
+        return [(row[u], frozenset((row[m], *by_column[u])))
                 for u, m in letters]
 
-    order, rows = _explore((body.start, frozenset()), successors)
-    accept = frozenset(s for s, (q, placed) in enumerate(order)
-                       if not placed.isdisjoint(body.accept))
-    return _minimize(_DFA(variables, 0, accept, rows))
+    order, rows = _explore((body.start, frozenset()), successors,
+                           canonical if sinks else None)
+    accept = frozenset(s for s, state in enumerate(order) if state is True
+                       or not state[1].isdisjoint(body.accept))
+    return _minimize(_DFA(variables, 0, accept, rows, column))
 
 
 def _compile(f: Formula) -> _DFA:
@@ -302,16 +381,19 @@ def compile_sentence(f: Formula) -> StepAutomaton:
         raise SignatureError("sentence compiled with leftover free tracks")
     # a word ends with the end marker at the last point; acceptance of a bit
     # prefix is acceptance after that final letter, and the step automaton
-    # reads the two step letters only
+    # reads the two step letters only.  With no tracks, letter l is step bit
+    # l: 0 starts a new class, 1 grows the last, 2 is the end marker.
+    new, grow, end = dfa.column
     steps = _minimize(_reachable(_DFA(
         (), dfa.start,
         frozenset(q for q, row in enumerate(dfa.trans)
-                  if row[_END] in dfa.accept),
-        tuple(row[:_END] for row in dfa.trans))))
+                  if row[end] in dfa.accept),
+        tuple((row[new], row[grow]) for row in dfa.trans), (0, 1))))
+    new, grow = steps.column
     return StepAutomaton(
         n_states=len(steps.trans),
         start=0,
-        step_new=tuple(row[0] for row in steps.trans),
-        step_grow=tuple(row[1] for row in steps.trans),
+        step_new=tuple(row[new] for row in steps.trans),
+        step_grow=tuple(row[grow] for row in steps.trans),
         accepting=tuple(q in steps.accept for q in range(len(steps.trans))),
     )

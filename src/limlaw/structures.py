@@ -284,12 +284,18 @@ class StructureView:
         self._classes: np.ndarray | None = None  # cls_of, for relation()
 
     def holds(self, symbol: str, i: int, j: int) -> bool:
+        """Whether ``i symbol j`` holds; raises ``ValueError`` on a point
+        outside 1..size."""
         try:
             rel = self._rel[symbol]
         except KeyError:
             raise ValueError(
                 f"relation {symbol!r} not in the {self.theory} signature"
             ) from None
+        size = self.size
+        for point in (i, j):
+            if not 0 < point <= size:
+                raise ValueError(f"point {point!r} is not in 1..{size}")
         cls_of = self.cls_of
         return rel(i, j, cls_of[i], cls_of[j])
 
@@ -298,7 +304,8 @@ class StructureView:
         """``holds(symbol, i, j)`` over the broadcast integer arrays ``left``
         and ``right`` of points.  The work is that of the broadcast result:
         points on one axis give a row, a column or a diagonal, on two axes a
-        matrix."""
+        matrix.  It trusts its arrays: being the evaluator's hot path, it
+        does not check that every point is in 1..size."""
         try:
             rel = self._rel[symbol]
         except KeyError:

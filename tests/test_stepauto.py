@@ -1,8 +1,10 @@
+import hashlib
 import re
 
 import pytest
 
 from conftest import closed_form
+from limlaw import stepauto
 from limlaw.battery import BATTERY
 from limlaw.efgame import GameSolver
 from limlaw.limitchain import build_sentence_chain, chain_walk
@@ -189,14 +191,256 @@ def _miniscope_battery():
                 text, _ = closed_form.family(family, theory, m, names)
                 cases.append((f"{family}/{theory}/m={m}", translate_to_convex(
                     theory, parse(text, SIGNATURES[theory]))))
-    return [pytest.param(parse(f) if isinstance(f, str) else f, id=label)
+    return [pytest.param(label, parse(f) if isinstance(f, str) else f,
+                         id=label)
             for label, f in cases]
 
 
+#: case of _miniscope_battery -> (states, sha256 of the StepAutomaton's repr)
+#: of the automaton it compiles to, as the compiler with per-letter rows
+#: made them: the state numbering is part of the output, so a compiler
+#: change must reproduce every one
+PINNED_AUTOMATA = {
+    "battery/nonempty": (
+        1, "b3c37bf813b37fa62da18b634d458147297623f06d866bbb97e100f8df31fb74"),
+    "battery/some-class-at-least-2": (
+        2, "109f473dae96b620db3c40c290a43ea08f1d26c600aa1e4468840eb1ab58167b"),
+    "battery/first-two-points-share-class": (
+        3, "c513e9e4b3175af47a2d7d0585d67a63fa001baa8e2b21b8d2431132a7151252"),
+    "battery/first-two-classes-singletons": (
+        4, "645f062436f7724836bb6ac9be1cefddfee0ec3737eeb22d602e1596d71b6f1a"),
+    "battery/single-class": (
+        2, "5c252d26ccdc77eddab9953ec3410b8faa359ea0094c295fcf85d4738ee296da"),
+    "battery/all-classes-singletons": (
+        2, "413a578b60ce0fe0bd0eb3b082d7566608d6a72b538eb4d2c6d0fdd337bb64cd"),
+    "battery/last-class-at-least-2": (
+        2, "62a147a909311b5fc31c2d0b3e0221be91bf878f6dda94d8b3d413e4d991aa5f"),
+    "battery/some-descent": (
+        2, "109f473dae96b620db3c40c290a43ea08f1d26c600aa1e4468840eb1ab58167b"),
+    "battery/identity-permutation": (
+        2, "413a578b60ce0fe0bd0eb3b082d7566608d6a72b538eb4d2c6d0fdd337bb64cd"),
+    "battery/at-least-two-parts": (
+        2, "be81d7ed78a5d5d2ce382489df254860f06843c0d161eaa5a9728f86e7631fde"),
+    "ladder-a/m=2": (
+        4, "e0c3efa04133d1a9f65b90ee963d29f3676b035fa9bb54b45d34745674527b12"),
+    "ladder-a/m=3": (
+        6, "22c8e15b82efc64b74add8a59d95f49aac39b86a62b2023b883e0026cd9b166a"),
+    "ladder-a/m=4": (
+        8, "80b5325ff7d7a40cb3c6187f8bcd01b36c02393067a4ad287be80628d178d035"),
+    "ladder-a/m=5": (
+        10, "85d3daabe28665cfe1744f8d922224c36ddd4b0aefbd887a934e2a67f0ca83a5"),
+    "ladder-a/m=6": (
+        12, "e37eabe146990d5303a45004e785461ad34b04d159f13c3c4d57d5f441c4af54"),
+    "ladder-a/m=7": (
+        14, "16970ea6dade4e5c2c1a16ce7f3386cf0d22296f24084c426a7e0a9a88fe4cc6"),
+    "ladder-b/m=3": (
+        3, "09a7aee9fe437fd5f0379889fa5054f140a71b8a0bdf70ef571e00f93a57da3d"),
+    "ladder-b/m=4": (
+        4, "44180587f044e380ea06da71d78e0e11891eb324bd86965340007477fc38db33"),
+    "ladder-b/m=5": (
+        5, "57388278ff7f126fe08f67aa9d88309033b7c1ad8e32962820accf0a3f0bf175"),
+    "ladder-b/m=6": (
+        6, "7f730fdf6b532a285be3aa9f844ffa796d39d91f071cc53b6dda1a761a46861d"),
+    "first_class/convex/m=2": (
+        3, "c513e9e4b3175af47a2d7d0585d67a63fa001baa8e2b21b8d2431132a7151252"),
+    "first_class/convex/m=3": (
+        4, "35b34b07ba96bea9c3f5634510ed298bc37349e13824500b13ed4981dc04a4f4"),
+    "first_class/convex/m=4": (
+        5, "78c442b82152fe48f903cf6bb12b3c8309abfef3234b034f30f4d60008aea738"),
+    "first_class/convex/m=5": (
+        6, "5bf83d0a8da4b87f21f23c06863f25723ead4bac5f0c7a8decc9188ebaaec811"),
+    "first_class/convex/m=6": (
+        7, "83a69c9a1003132b0bbd34ab5f1f99433a5124d59b6fe6f089aa26f8ec30bda9"),
+    "first_class/layered/m=2": (
+        3, "c513e9e4b3175af47a2d7d0585d67a63fa001baa8e2b21b8d2431132a7151252"),
+    "first_class/layered/m=3": (
+        4, "35b34b07ba96bea9c3f5634510ed298bc37349e13824500b13ed4981dc04a4f4"),
+    "first_class/layered/m=4": (
+        5, "78c442b82152fe48f903cf6bb12b3c8309abfef3234b034f30f4d60008aea738"),
+    "first_class/layered/m=5": (
+        6, "5bf83d0a8da4b87f21f23c06863f25723ead4bac5f0c7a8decc9188ebaaec811"),
+    "first_class/layered/m=6": (
+        7, "83a69c9a1003132b0bbd34ab5f1f99433a5124d59b6fe6f089aa26f8ec30bda9"),
+    "first_class/composition/m=2": (
+        3, "c513e9e4b3175af47a2d7d0585d67a63fa001baa8e2b21b8d2431132a7151252"),
+    "first_class/composition/m=3": (
+        4, "35b34b07ba96bea9c3f5634510ed298bc37349e13824500b13ed4981dc04a4f4"),
+    "first_class/composition/m=4": (
+        5, "78c442b82152fe48f903cf6bb12b3c8309abfef3234b034f30f4d60008aea738"),
+    "first_class/composition/m=5": (
+        6, "5bf83d0a8da4b87f21f23c06863f25723ead4bac5f0c7a8decc9188ebaaec811"),
+    "first_class/composition/m=6": (
+        7, "83a69c9a1003132b0bbd34ab5f1f99433a5124d59b6fe6f089aa26f8ec30bda9"),
+    "first_class/fractured/m=2": (
+        3, "c513e9e4b3175af47a2d7d0585d67a63fa001baa8e2b21b8d2431132a7151252"),
+    "first_class/fractured/m=3": (
+        4, "35b34b07ba96bea9c3f5634510ed298bc37349e13824500b13ed4981dc04a4f4"),
+    "first_class/fractured/m=4": (
+        5, "78c442b82152fe48f903cf6bb12b3c8309abfef3234b034f30f4d60008aea738"),
+    "first_class/fractured/m=5": (
+        6, "5bf83d0a8da4b87f21f23c06863f25723ead4bac5f0c7a8decc9188ebaaec811"),
+    "first_class/fractured/m=6": (
+        7, "83a69c9a1003132b0bbd34ab5f1f99433a5124d59b6fe6f089aa26f8ec30bda9"),
+    "last_class/convex/m=2": (
+        2, "62a147a909311b5fc31c2d0b3e0221be91bf878f6dda94d8b3d413e4d991aa5f"),
+    "last_class/convex/m=3": (
+        3, "d1d3066045bcf8d3e89e86be802d6e61418b4bc565d5aec63137ada35c219ffe"),
+    "last_class/convex/m=4": (
+        4, "dc34318f2a7f6cc01eccba841297798c09bd98f500b17197b6a172348c69c69b"),
+    "last_class/convex/m=5": (
+        5, "4274baa917836c63e3d61cf34357bbdfa0cdb2ed2bf8be86367b96e58e97c86a"),
+    "last_class/convex/m=6": (
+        6, "cea229a406905edf28fa93e7f91b10e977537a40d1d0a397ed0ea29215957849"),
+    "last_class/layered/m=2": (
+        2, "62a147a909311b5fc31c2d0b3e0221be91bf878f6dda94d8b3d413e4d991aa5f"),
+    "last_class/layered/m=3": (
+        3, "d1d3066045bcf8d3e89e86be802d6e61418b4bc565d5aec63137ada35c219ffe"),
+    "last_class/layered/m=4": (
+        4, "dc34318f2a7f6cc01eccba841297798c09bd98f500b17197b6a172348c69c69b"),
+    "last_class/layered/m=5": (
+        5, "4274baa917836c63e3d61cf34357bbdfa0cdb2ed2bf8be86367b96e58e97c86a"),
+    "last_class/layered/m=6": (
+        6, "cea229a406905edf28fa93e7f91b10e977537a40d1d0a397ed0ea29215957849"),
+    "last_class/composition/m=2": (
+        2, "62a147a909311b5fc31c2d0b3e0221be91bf878f6dda94d8b3d413e4d991aa5f"),
+    "last_class/composition/m=3": (
+        3, "d1d3066045bcf8d3e89e86be802d6e61418b4bc565d5aec63137ada35c219ffe"),
+    "last_class/composition/m=4": (
+        4, "dc34318f2a7f6cc01eccba841297798c09bd98f500b17197b6a172348c69c69b"),
+    "last_class/composition/m=5": (
+        5, "4274baa917836c63e3d61cf34357bbdfa0cdb2ed2bf8be86367b96e58e97c86a"),
+    "last_class/composition/m=6": (
+        6, "cea229a406905edf28fa93e7f91b10e977537a40d1d0a397ed0ea29215957849"),
+    "last_class/fractured/m=2": (
+        2, "62a147a909311b5fc31c2d0b3e0221be91bf878f6dda94d8b3d413e4d991aa5f"),
+    "last_class/fractured/m=3": (
+        3, "d1d3066045bcf8d3e89e86be802d6e61418b4bc565d5aec63137ada35c219ffe"),
+    "last_class/fractured/m=4": (
+        4, "dc34318f2a7f6cc01eccba841297798c09bd98f500b17197b6a172348c69c69b"),
+    "last_class/fractured/m=5": (
+        5, "4274baa917836c63e3d61cf34357bbdfa0cdb2ed2bf8be86367b96e58e97c86a"),
+    "last_class/fractured/m=6": (
+        6, "cea229a406905edf28fa93e7f91b10e977537a40d1d0a397ed0ea29215957849"),
+    "distinct_start/convex/m=2": (
+        3, "fff9d98309a771850eddf827c8da3ad21ed3abf4ea68efe032e525e0b5cdc2f2"),
+    "distinct_start/convex/m=3": (
+        4, "645f062436f7724836bb6ac9be1cefddfee0ec3737eeb22d602e1596d71b6f1a"),
+    "distinct_start/convex/m=4": (
+        5, "a33d7f49f44ff9d9dfbc8717f1d45cf2333e62f47e254fcc9b6aff1d8fa74bb8"),
+    "distinct_start/convex/m=5": (
+        6, "73605cf6c08c518108b17cfeca9a9f8408277319d057010da9c09328a5a03b7e"),
+    "distinct_start/convex/m=6": (
+        7, "617f11444c5f6e56879dc4b5a9c2763dea3f7cf9a2c99b34625b10bd350e6ea2"),
+    "distinct_start/layered/m=2": (
+        3, "fff9d98309a771850eddf827c8da3ad21ed3abf4ea68efe032e525e0b5cdc2f2"),
+    "distinct_start/layered/m=3": (
+        4, "645f062436f7724836bb6ac9be1cefddfee0ec3737eeb22d602e1596d71b6f1a"),
+    "distinct_start/layered/m=4": (
+        5, "a33d7f49f44ff9d9dfbc8717f1d45cf2333e62f47e254fcc9b6aff1d8fa74bb8"),
+    "distinct_start/layered/m=5": (
+        6, "73605cf6c08c518108b17cfeca9a9f8408277319d057010da9c09328a5a03b7e"),
+    "distinct_start/layered/m=6": (
+        7, "617f11444c5f6e56879dc4b5a9c2763dea3f7cf9a2c99b34625b10bd350e6ea2"),
+    "distinct_start/composition/m=2": (
+        3, "fff9d98309a771850eddf827c8da3ad21ed3abf4ea68efe032e525e0b5cdc2f2"),
+    "distinct_start/composition/m=3": (
+        4, "645f062436f7724836bb6ac9be1cefddfee0ec3737eeb22d602e1596d71b6f1a"),
+    "distinct_start/composition/m=4": (
+        5, "a33d7f49f44ff9d9dfbc8717f1d45cf2333e62f47e254fcc9b6aff1d8fa74bb8"),
+    "distinct_start/composition/m=5": (
+        6, "73605cf6c08c518108b17cfeca9a9f8408277319d057010da9c09328a5a03b7e"),
+    "distinct_start/composition/m=6": (
+        7, "617f11444c5f6e56879dc4b5a9c2763dea3f7cf9a2c99b34625b10bd350e6ea2"),
+    "distinct_start/fractured/m=2": (
+        3, "fff9d98309a771850eddf827c8da3ad21ed3abf4ea68efe032e525e0b5cdc2f2"),
+    "distinct_start/fractured/m=3": (
+        4, "645f062436f7724836bb6ac9be1cefddfee0ec3737eeb22d602e1596d71b6f1a"),
+    "distinct_start/fractured/m=4": (
+        5, "a33d7f49f44ff9d9dfbc8717f1d45cf2333e62f47e254fcc9b6aff1d8fa74bb8"),
+    "distinct_start/fractured/m=5": (
+        6, "73605cf6c08c518108b17cfeca9a9f8408277319d057010da9c09328a5a03b7e"),
+    "distinct_start/fractured/m=6": (
+        7, "617f11444c5f6e56879dc4b5a9c2763dea3f7cf9a2c99b34625b10bd350e6ea2"),
+}
+
+
 class TestMiniscopedCompilation:
-    @pytest.mark.parametrize("sentence", _miniscope_battery())
-    def test_same_automaton(self, sentence):
+    @pytest.mark.parametrize("label,sentence", _miniscope_battery())
+    def test_same_automaton(self, label, sentence):
         # minimal automata numbered breadth-first are canonical, so an
         # equivalent formula compiles to the very same StepAutomaton
         assert compile_sentence(miniscope(sentence)) == \
             compile_sentence(sentence)
+
+    @pytest.mark.parametrize("label,sentence", _miniscope_battery())
+    def test_automaton_is_pinned(self, label, sentence):
+        auto = compile_sentence(sentence)
+        digest = hashlib.sha256(repr(auto).encode()).hexdigest()
+        assert (auto.n_states, digest) == PINNED_AUTOMATA[label]
+
+    def test_every_case_is_pinned(self):
+        assert [p.values[0] for p in _miniscope_battery()] == \
+            list(PINNED_AUTOMATA)
+
+
+def _count_minimized(monkeypatch):
+    """Record the (rows, columns) of every automaton handed to
+    ``_minimize`` and check each result: pairwise distinct columns,
+    numbered in order of their first letter."""
+    sizes = []
+    minimize = stepauto._minimize
+
+    def counting(dfa):
+        sizes.append((len(dfa.trans), len(dfa.trans[0])))
+        out = minimize(dfa)
+        columns = list(zip(*out.trans))
+        assert len(set(columns)) == len(columns)
+        assert list(dict.fromkeys(out.column)) == list(range(len(columns)))
+        return out
+
+    monkeypatch.setattr(stepauto, "_minimize", counting)
+    return sizes
+
+
+class TestCompileWork:
+    def test_compile_work_is_pinned(self, monkeypatch):
+        # cells the compiler explores; a change here is a change in how it
+        # represents letters or prunes states, not only in its speed
+        names = [f"v{i}" for i in range(9)]
+        cases = [
+            ("convex", closed_form.ladder_b(6, names)[0], 95234),
+            ("composition", closed_form.family(
+                "first_class", "composition", 6, names)[0], 24793),
+        ]
+        sizes = _count_minimized(monkeypatch)
+        for theory, text, work in cases:
+            sizes.clear()
+            compile_sentence(miniscope(translate_to_convex(
+                theory, parse(text, SIGNATURES[theory]))))
+            assert sum(rows * columns for rows, columns in sizes) == work
+
+    @pytest.mark.parametrize("left,right,op,value", [
+        ("false", "body", lambda p, q: p and q, False),
+        ("body", "false", lambda p, q: p and q, False),
+        ("true", "body", lambda p, q: p or q, True),
+        ("false", "body", lambda p, q: (not p) or q, True),
+    ], ids=["false-and", "and-false", "true-or", "false-implies"])
+    def test_product_with_a_deciding_constant_explores_one_state(
+            self, monkeypatch, left, right, op, value):
+        # a rejecting sink decides a conjunction and an implication's
+        # premise, an accepting sink a disjunction, whatever the other side
+        body = stepauto._compile(parse("x < y & (x E y | y < z)"))
+        automata = {"body": body, "false": stepauto._const((), False),
+                    "true": stepauto._const((), True)}
+        sizes = _count_minimized(monkeypatch)
+        product = stepauto._product(automata[left], automata[right], op)
+        assert [rows for rows, _ in sizes] == [1]
+        assert (0 in product.accept) == value
+
+    def test_minimized_columns_are_distinct_and_ordered(self, monkeypatch):
+        sizes = _count_minimized(monkeypatch)
+        for text in EXTRA_SENTENCES + [_ladder_b(["w", "x", "y", "z"])]:
+            compile_sentence(parse(text, SIGNATURES["convex"]))
+        for _, sentence in _battery_convex_sentences():
+            compile_sentence(sentence)
+        assert sizes

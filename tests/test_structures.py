@@ -296,6 +296,15 @@ class TestRelationalViews:
         with pytest.raises(ValueError):
             v.holds("p1", 1, 1)
 
+    @pytest.mark.parametrize("i,j,bad", [(0, 1, 0), (-1, 3, -1), (1, 4, 4),
+                                         (3, 0, 0)])
+    def test_holds_rejects_points_outside_the_structure(self, i, j, bad):
+        # index 0 is class 0 and -1 wraps to the last point, so these once
+        # answered as if the point were real
+        v = as_relational("convex", PartSequence((2, 1)))
+        with pytest.raises(ValueError, match=rf"point {bad} is not in 1\.\.3"):
+            v.holds("E", i, j)
+
     @pytest.mark.parametrize("theory",
                              ["convex", "layered", "composition", "fractured"])
     def test_views_match_naive_tables(self, theory):
