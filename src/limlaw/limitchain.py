@@ -36,8 +36,10 @@ from .stepauto import compile_sentence
 from .logic import (
     Formula,
     SIGNATURES,
+    batch_rows,
     ensure_sentence,
     evaluate,
+    evaluate_classes,
     miniscope,
     parse,
     quantifier_depth,
@@ -52,7 +54,6 @@ from .structures import (
     decompose,
     hat,
     oplus,
-    shape_from_bits,
 )
 
 
@@ -540,11 +541,33 @@ def _step_bytes(seed: int, chunk_index: int, size: int, n: int):
         yield from block.reshape(width, size)
 
 
-def _step_bits(seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
-    """The same steps unpacked, one row of ``n - 1`` bits per sample."""
-    packed = np.array(list(_step_bytes(seed, chunk_index, size, n)),
-                      dtype=np.uint8).reshape(-1, size)
+def _packed_steps(seed: int, chunk_index: int, size: int, n: int
+                  ) -> np.ndarray:
+    """The same bytes in one array, ``ceil((n - 1) / 8)`` rows of ``size``."""
+    packed = np.empty(((n - 1 + 7) // 8, size), dtype=np.uint8)
+    for t, row in enumerate(_step_bytes(seed, chunk_index, size, n)):
+        packed[t] = row
+    return packed
+
+
+def _unpacked(packed: np.ndarray, n: int) -> np.ndarray:
+    """Packed step bytes unpacked, one row of ``n - 1`` bits per sample."""
     return np.unpackbits(packed.T, axis=1, count=n - 1, bitorder="little")
+
+
+def _step_bits(seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
+    """The chunk's steps unpacked, one row of ``n - 1`` bits per sample."""
+    return _unpacked(_packed_steps(seed, chunk_index, size, n), n)
+
+
+def _class_rows(bits: np.ndarray) -> np.ndarray:
+    """The ``cls_of`` row of the shape each row of step bits builds (as
+    :func:`~limlaw.structures.shape_from_bits` does): point 1 is in class
+    0, and point ``p + 1`` in class "0-bits among the first ``p`` steps",
+    since a 0 starts a new class.  Column 0 is unused."""
+    classes = np.zeros((len(bits), bits.shape[1] + 2), dtype=np.intp)
+    np.cumsum(bits == 0, axis=1, out=classes[:, 2:])
+    return classes
 
 
 def _step_table(chain: Chain, width: int) -> np.ndarray:
@@ -620,10 +643,12 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
 
     ``method="walk"`` builds the sentence's chain and runs ``walk_estimate``
     on it — exact for every sample, and fast enough for large n.
-    ``method="direct"`` unpacks the same bytes in the same bit order and
-    model checks every sampled structure with the evaluator, without
-    building a chain; both methods decide the same satisfaction bit per
-    sample.
+    ``method="direct"`` builds no chain: it unpacks the same bytes in the
+    same bit order, decodes each sample's class row from its bits and model
+    checks the samples with :func:`evaluate_classes`, as many at once as
+    :func:`batch_rows` allows; both methods decide the same satisfaction
+    bit per sample.  A sentence too wide for the evaluator at size ``n``
+    raises :class:`BudgetExceededError` before any step is drawn.
     """
     _check_counts(n, samples)
     if method == "walk":
@@ -632,11 +657,14 @@ def estimate_probability(theory: str, sentence, n: int, samples: int,
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     sentence = _coerce_sentence(theory, sentence)
+    rows = batch_rows(theory, sentence, n)
     hits = 0
     for idx, start in enumerate(range(0, samples, _CHUNK)):
-        for row in _step_bits(seed, idx, min(_CHUNK, samples - start), n):
-            if evaluate(as_relational(theory, shape_from_bits(row)), sentence):
-                hits += 1
+        size = min(_CHUNK, samples - start)
+        packed = _packed_steps(seed, idx, size, n)
+        for lo in range(0, size, rows):
+            classes = _class_rows(_unpacked(packed[:, lo:lo + rows], n))
+            hits += int(evaluate_classes(theory, classes, sentence).sum())
     return _result(hits, samples)
 
 

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .structures import RELATION_SYMBOLS, RELATIONS
+from .structures import RELATION_SYMBOLS, RELATIONS, _THEORY_RELATIONS
 
 
 class FormulaSyntaxError(ValueError):
@@ -552,16 +552,22 @@ def _chain(op: type, parts: list[Formula]) -> Formula:
 # connectives are broadcasts and quantifiers are reductions.  A quantifier
 # takes the lowest axis not held by a variable free at it, so a node costs
 # ``size ** (its free bound variables)`` cells however many names the
-# formula uses.  An atom is the view's relation over the points of its
-# operands' axes, and a variable free in the whole formula is its point
-# from ``env``: an atom on one axis is a row, a column or a diagonal, and
-# only an atom on two axes is a matrix.
+# formula uses.  An atom is the relation over the points of its operands'
+# axes, and a variable free in the whole formula is its point from
+# ``env``: an atom on one axis is a row, a column or a diagonal, and only
+# an atom on two axes is a matrix.  :func:`evaluate_classes` runs the same
+# program on a batch of structures of one size with a leading batch axis
+# in front of the variables' axes: an atom reads each structure's class
+# row along it, a value that does not depend on the classes stays 1 long
+# on it, and every reduction is along the variable's axis + 1.
 
-#: The most cells :func:`evaluate` may allocate for one node.  A node with
-#: ``w`` free bound variables counts ``max(size, 2) ** w`` cells.  Past the
-#: bound, :func:`evaluate` raises :class:`BudgetExceededError` before it
-#: allocates anything.  Counting at least 2 per axis keeps the number of
-#: array axes at most 23, well inside NumPy's limit, at every size.
+#: The most cells :func:`evaluate` may allocate for one node, and
+#: :func:`evaluate_classes` for one node, or the class rows, of all its
+#: structures together.  A node with ``w`` free bound variables counts
+#: ``max(size, 2) ** w`` cells per structure.  Past the bound, both raise
+#: :class:`BudgetExceededError` before they allocate anything.  Counting at least 2 per axis keeps the
+#: number of array axes at most 23, well inside NumPy's limit, at every
+#: size.
 MAX_EVALUATION_CELLS = 1 << 22
 
 _RELATION, _CONSTANT, _NOT, _AND, _OR, _IMPLIES, _IFF, _EXISTS, _FORALL = \
@@ -641,6 +647,25 @@ def evaluation_cells(f: Formula, size: int) -> int:
     return max(size, 2) ** _program(f).width
 
 
+def _check_cells(f: Formula, size: int) -> int:
+    """:func:`evaluation_cells`, or :class:`BudgetExceededError` past the
+    bound."""
+    cells = evaluation_cells(f, size)
+    if cells > MAX_EVALUATION_CELLS:
+        raise BudgetExceededError(
+            f"evaluating needs {cells} cells for one node on a structure of "
+            f"size {size}, over the bound of {MAX_EVALUATION_CELLS}", cells)
+    return cells
+
+
+def _check_symbols(program: _Program, signature: frozenset[str],
+                   theory: str) -> None:
+    if not program.symbols <= signature:
+        foreign = program.symbols - signature
+        raise SignatureError(
+            f"symbols {sorted(foreign)} not in the {theory} signature")
+
+
 def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
     """Standard first-order satisfaction on a relational view.
 
@@ -665,25 +690,97 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
                 raise EvaluationError(
                     f"{name} = {env[name]} is not a point of a structure of "
                     f"size {n}")
-    if not program.symbols <= struct.signature:
-        foreign = program.symbols - struct.signature
-        raise SignatureError(
-            f"symbols {sorted(foreign)} not in the {struct.theory} signature")
-    cells = evaluation_cells(f, n)
-    if cells > MAX_EVALUATION_CELLS:
+    _check_symbols(program, struct.signature, struct.theory)
+    _check_cells(f, n)
+    free = {name: env[name] for name in f.free}
+    return bool(_run(program, n, struct.relation, free, batched=False))
+
+
+def batch_rows(theory: str, f: Formula, size: int) -> int:
+    """How many structures of ``size`` points :func:`evaluate_classes`
+    takes at once for the sentence ``f``: as many as keep every node, and
+    the class rows, within :data:`MAX_EVALUATION_CELLS` cells, and at
+    least one.  A structure counts the cells of its largest node or the
+    ``size + 1`` of its class row, whichever is more, so the class rows of
+    a batch stay within the bound however narrow the sentence.
+
+    Raises what :func:`evaluate_classes` raises on ``f`` whatever the
+    batch: ``ValueError`` on an unknown theory, :class:`EvaluationError` if
+    ``f`` has free variables, :class:`SignatureError` on a symbol outside
+    the theory's signature, and :class:`BudgetExceededError` if not even
+    one structure fits.
+    """
+    if theory not in SIGNATURES:
+        raise ValueError(f"unknown theory {theory!r}")
+    ensure_sentence(f)
+    _check_symbols(_program(f), SIGNATURES[theory].relations, theory)
+    return max(1, MAX_EVALUATION_CELLS // _structure_cells(f, size))
+
+
+def _structure_cells(f: Formula, size: int) -> int:
+    """The cells :func:`batch_rows` counts for one structure."""
+    return max(_check_cells(f, size), size + 1)
+
+
+def evaluate_classes(theory: str, classes: np.ndarray, f: Formula
+                     ) -> np.ndarray:
+    """:func:`evaluate` of the sentence ``f`` on a batch of structures of
+    the theory, all of one size: whether each satisfies ``f``.
+
+    Row ``b`` of the integer array ``classes`` is the ``cls_of`` of
+    structure ``b`` (see :class:`~limlaw.structures.StructureView`): entry
+    ``p`` is the 0-based class index of point ``p``, and entry 0 is unused,
+    so a batch of structures of ``size`` points has ``size + 1`` columns.
+    The rows are trusted to be class rows.  Raises what :func:`batch_rows`
+    raises, and :class:`BudgetExceededError` when there are more rows than
+    :func:`batch_rows` allows, before allocating anything.
+    """
+    if classes.ndim != 2 or classes.shape[1] < 2:
+        raise ValueError(
+            f"class rows must be a 2-d array with a column per point and "
+            f"column 0, not of shape {classes.shape}")
+    size = classes.shape[1] - 1
+    rows = batch_rows(theory, f, size)
+    count = len(classes)
+    if count > rows:
+        cells = count * _structure_cells(f, size)
         raise BudgetExceededError(
-            f"evaluating needs {cells} cells for one node on a structure of "
-            f"size {n}, over the bound of {MAX_EVALUATION_CELLS}", cells)
+            f"evaluating {count} structures of size {size} at once needs "
+            f"{cells} cells, over the bound of {MAX_EVALUATION_CELLS}; at "
+            f"most {rows} fit", cells)
+    program = _program(f)
+    rel = _THEORY_RELATIONS[theory]
+    batch = np.arange(count).reshape((count,) + (1,) * program.axes)
+
+    def relation(symbol: str, left: np.ndarray, right: np.ndarray
+                 ) -> np.ndarray:
+        return rel[symbol](left, right, classes[batch, left],
+                           classes[batch, right])
+
+    value = _run(program, size, relation, {}, batched=True)
+    return np.broadcast_to(value.reshape(-1), count).copy()
+
+
+def _run(program: _Program, size: int, relation, free: dict[str, int], *,
+         batched: bool) -> np.ndarray:
+    """The value of ``program`` on ``size`` points, an array 1 long along
+    every variable's axis.
+
+    ``relation(symbol, left, right)`` is an atom over broadcast arrays of
+    points, and ``free`` gives the point of every free variable.  With
+    ``batched`` every array has a leading batch axis, which only the
+    arrays ``relation`` returns may make longer than 1.
+    """
+    lead = int(batched)
     # the points an atom operand stands for: an axis's range, or a point
-    flat = [1] * program.axes
-    points = {name: np.full(flat, env[name]) for name in f.free}
+    flat = [1] * (lead + program.axes)
+    points = {name: np.full(flat, point) for name, point in free.items()}
     if program.axes:
-        every = np.arange(1, n + 1)
+        every = np.arange(1, size + 1)
         for axis in range(program.axes):
-            flat[axis] = n
+            flat[lead + axis] = size
             points[axis] = every.reshape(flat)
-            flat[axis] = 1
-    relation = struct.relation
+            flat[lead + axis] = 1
     atoms: dict[tuple, np.ndarray] = {}  # no step writes into an array
     stack: list[np.ndarray] = []
     push, pop = stack.append, stack.pop
@@ -700,9 +797,9 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
         elif op == _NOT:
             push(~pop())
         elif op == _EXISTS:
-            push(_ANY(pop(), axis=step[1], keepdims=True))
+            push(_ANY(pop(), axis=lead + step[1], keepdims=True))
         elif op == _FORALL:
-            push(_ALL(pop(), axis=step[1], keepdims=True))
+            push(_ALL(pop(), axis=lead + step[1], keepdims=True))
         else:
             right, left = pop(), pop()
             if op == _AND:
@@ -713,7 +810,7 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
                 push(~left | right)
             else:
                 push(left == right)
-    return bool(pop())
+    return pop()
 
 
 # --- atomic rewritings between theories --------------------------------------

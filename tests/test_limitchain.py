@@ -33,6 +33,7 @@ from limlaw.limitchain import (
 from limlaw.logic import (
     MAX_EVALUATION_CELLS,
     SIGNATURES,
+    batch_rows,
     evaluate,
     evaluation_cells,
     miniscope,
@@ -49,6 +50,10 @@ from limlaw.structures import (
 )
 
 HALF = Fraction(1, 2)
+
+#: fractured orders whose last class has at least two points (limit 1/2)
+FRACTURED_LAST_CLASS = ("exists x. exists y. (x p2 y"
+                        " & forall z. (z E x | z p1 x))")
 
 
 def _hand_chain(succs, accepting=None, start=0):
@@ -362,13 +367,54 @@ class TestEstimate:
         assert result.estimate == 0
 
     def test_walk_and_direct_agree_hit_for_hit(self):
-        for entry in BATTERY:
-            walk = estimate_probability(entry.theory, entry.text,
-                                        n=10, samples=1500, seed=7)
-            direct = estimate_probability(entry.theory, entry.text,
-                                          n=10, samples=1500, seed=7,
+        # the battery, a fractured-order sentence (the last class has at
+        # least two points), and the benchmark's direct estimate
+        cases = [(entry.theory, entry.text, 10, 1500) for entry in BATTERY]
+        cases.append(("fractured", FRACTURED_LAST_CLASS, 10, 1500))
+        cases.append((BATTERY[2].theory, BATTERY[2].text, 16, 1024))
+        for theory, text, n, samples in cases:
+            walk = estimate_probability(theory, text, n=n, samples=samples,
+                                        seed=7)
+            direct = estimate_probability(theory, text, n=n,
+                                          samples=samples, seed=7,
                                           method="direct")
-            assert walk.hits == direct.hits, entry.name
+            assert walk.hits == direct.hits, (theory, text, n)
+
+    def test_direct_refuses_a_too_wide_sentence_before_drawing(
+            self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the direct estimate drew steps")
+
+        monkeypatch.setattr(limitchain, "_step_bytes", refuse)
+        with pytest.raises(BudgetExceededError):
+            estimate_probability("convex", "exists x. exists y. x E y",
+                                 n=100_000, samples=512, seed=1,
+                                 method="direct")
+
+    def test_direct_hits_do_not_depend_on_the_slices(self, monkeypatch):
+        # slices of one and of three samples, the last one short, against
+        # the whole chunk in one slice
+        from limlaw import logic
+
+        entry = BATTERY[2]
+        kwargs = dict(n=10, samples=100, seed=3, method="direct")
+        cells = evaluation_cells(parse(entry.text), 10)
+        whole = estimate_probability(entry.theory, entry.text, **kwargs)
+        assert batch_rows(entry.theory, parse(entry.text), 10) >= 100
+        for rows in (1, 3):
+            monkeypatch.setattr(logic, "MAX_EVALUATION_CELLS", rows * cells)
+            assert batch_rows(entry.theory, parse(entry.text), 10) == rows
+            sliced = estimate_probability(entry.theory, entry.text, **kwargs)
+            assert sliced.hits == whole.hits, rows
+
+    def test_class_rows_decode_the_step_bits(self):
+        for n in (1, 2, 9, 17):
+            bits = limitchain._step_bits(11, 2, 40, n)
+            classes = limitchain._class_rows(bits)
+            assert classes.shape == (40, n + 1)
+            for row, cls_of in zip(bits, classes.tolist()):
+                assert cls_of == list(
+                    as_relational("convex", shape_from_bits(row)).cls_of), n
 
     def test_direct_builds_no_chain(self, monkeypatch):
         from limlaw import limitchain

@@ -26,8 +26,10 @@ from limlaw.logic import (
     SIGNATURES,
     SignatureError,
     TRUE,
+    batch_rows,
     ensure_sentence,
     evaluate,
+    evaluate_classes,
     evaluation_cells,
     format_formula,
     formula_symbols,
@@ -39,7 +41,12 @@ from limlaw.logic import (
     translate_layered,
     translate_to_convex,
 )
-from limlaw.structures import THEORIES, PartSequence, as_relational
+from limlaw.structures import (
+    THEORIES,
+    PartSequence,
+    as_relational,
+    enumerate_shapes,
+)
 
 FIRST_TWO_SHARE = ("exists x. exists y. (!(exists z. z < x) & x < y"
                    " & !(exists z. (x < z & z < y)) & x E y)")
@@ -438,6 +445,109 @@ class TestDifferential:
             assert evaluate(view, f, at) == want, (str(shape), at)
             assert recursive_evaluate(view, scoped, at) == want, \
                 (str(shape), at, format_formula(scoped))
+
+
+@st.composite
+def _sentences(draw):
+    """The differential cases with every free variable bound by a drawn
+    quantifier in front, so every closed formula of :func:`_cases` is
+    drawn as it is."""
+    theory, f, _ = draw(_cases())
+    for var in sorted(free_variables(f)):
+        f = draw(st.sampled_from((Exists, Forall)))(var, f)
+    return theory, f
+
+
+def _class_batch(theory: str, shapes) -> np.ndarray:
+    """The ``cls_of`` rows of shapes of one size, one row per shape."""
+    return np.array([as_relational(theory, s).cls_of for s in shapes])
+
+
+def _batch_matches_evaluate(theory: str, f) -> None:
+    for n in range(1, 9):
+        shapes = enumerate_shapes(n)
+        got = evaluate_classes(theory, _class_batch(theory, shapes), f)
+        want = [evaluate(as_relational(theory, s), f) for s in shapes]
+        assert got.dtype == bool and got.shape == (len(shapes),)
+        assert got.tolist() == want, (theory, format_formula(f), n)
+
+
+_BATCH_DIFFERENTIAL = settings(derandomize=True, max_examples=200,
+                               deadline=None, database=None,
+                               suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBatchEvaluation:
+    """:func:`evaluate_classes` against :func:`evaluate`, structure by
+    structure, on every shape of sizes 1..8."""
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_battery_in_every_theory_it_parses_in(self, entry):
+        theories = [t for t in THEORIES
+                    if formula_symbols(parse(entry.text))
+                    <= SIGNATURES[t].relations]
+        assert entry.theory in theories
+        for theory in theories:
+            _batch_matches_evaluate(theory, parse(entry.text))
+
+    @_BATCH_DIFFERENTIAL
+    @given(_sentences())
+    def test_random_sentences(self, case):
+        _batch_matches_evaluate(*case)
+
+    def test_constant_sentences_fill_the_batch(self):
+        classes = _class_batch("convex", enumerate_shapes(3))
+        assert evaluate_classes("convex", classes, TRUE).tolist() == [True] * 4
+        assert evaluate_classes("convex", classes, parse("exists x. x = x")
+                                ).tolist() == [True] * 4
+        assert not evaluate_classes("convex", classes, FALSE).any()
+
+    def test_checks_of_evaluate(self):
+        classes = _class_batch("convex", enumerate_shapes(3))
+        with pytest.raises(EvaluationError, match="not a sentence"):
+            evaluate_classes("convex", classes, parse("exists x. x < y"))
+        with pytest.raises(SignatureError):
+            evaluate_classes("convex", classes, parse("exists x. x p1 x"))
+        with pytest.raises(ValueError, match="unknown theory"):
+            evaluate_classes("cyclic", classes, TRUE)
+        deep = TRUE
+        for _ in range(MAX_NESTING + 1):
+            deep = Not(deep)
+        with pytest.raises(FormulaSyntaxError):
+            evaluate_classes("convex", classes, deep)
+        with pytest.raises(ValueError, match="class rows"):
+            evaluate_classes("convex", classes[0], TRUE)
+
+    def test_budget_raises_before_allocating(self):
+        # one structure of 3000 points already needs 3000^7 cells
+        classes = np.zeros((2, 3001), dtype=np.intp)
+        cycle = parse(CYCLE7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                evaluate_classes("convex", classes, cycle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.nodes == 3000 ** 7
+        assert peak < 1 << 20
+        with pytest.raises(BudgetExceededError):
+            batch_rows("convex", cycle, 3000)
+
+    def test_batch_rows_fill_the_cell_bound(self):
+        pair = parse("exists x. exists y. (x E y & !(x = y))")
+        assert batch_rows("convex", pair, 16) == MAX_EVALUATION_CELLS // 256
+        # a structure counts its class row when that is larger than its
+        # widest node, and one structure always fits
+        assert batch_rows("convex", TRUE, 1000) == \
+            MAX_EVALUATION_CELLS // 1001
+        assert batch_rows("convex", TRUE, MAX_EVALUATION_CELLS) == 1
+        rows = batch_rows("convex", pair, 1000)
+        assert rows == MAX_EVALUATION_CELLS // 1000 ** 2
+        classes = np.zeros((rows + 1, 1001), dtype=np.intp)
+        assert evaluate_classes("convex", classes[:rows], pair).all()
+        with pytest.raises(BudgetExceededError, match=f"at most {rows} fit"):
+            evaluate_classes("convex", classes, pair)
 
 
 class TestTranslations:
