@@ -4,21 +4,13 @@ game deciders, and the class-level state machine with exact limits."""
 
 from .structures import (
     BULLET,
-    BuildStep,
-    CompositionStructure,
     ConvexLinearOrder,
-    FracturedOrder,
-    LayeredPermutation,
     PartSequence,
     StructureView,
     as_relational,
-    convex_to_layered,
     decompose,
     enumerate_shapes,
-    expand_composition,
-    fractured_to_convex,
     hat,
-    layered_to_convex,
     oplus,
 )
 from .logic import (

@@ -40,10 +40,8 @@ from .logic import (
     parse,
     translate_to_convex,
 )
-from .structures import PartSequence, as_relational
+from .structures import THEORIES, PartSequence, as_relational
 from .logic import evaluate
-
-THEORY_CHOICES = ("convex", "layered", "composition", "fractured")
 
 
 def _fraction_text(p: Fraction) -> str:
@@ -231,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("limit", help="exact limiting probability of a sentence")
-    p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
+    p.add_argument("--theory", choices=THEORIES, default="convex")
     _add_formula_options(p)
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None,
+                   help="node budget of the --verify game-tree solver only")
     p.add_argument("--verify", action="store_true",
                    help="re-check state distinctness with the game solver")
     p.add_argument("--emit-json", metavar="PATH")
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_limit)
 
     p = subs.add_parser("estimate", help="Monte Carlo estimate at finite n")
-    p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
+    p.add_argument("--theory", choices=THEORIES, default="convex")
     _add_formula_options(p)
     # checked here, before any chain is built
     p.add_argument("--n", type=_positive_int, required=True)
@@ -253,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("translate",
                         help="rewrite a sentence into the convex language")
-    p.add_argument("--from", dest="from_theory", choices=THEORY_CHOICES,
+    p.add_argument("--from", dest="from_theory", choices=THEORIES,
                    required=True)
     _add_formula_options(p)
     p.add_argument("--emit-json", metavar="PATH")
     p.set_defaults(func=cmd_translate)
 
     p = subs.add_parser("ef", help="winner of the length-k back-and-forth game")
-    p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
+    p.add_argument("--theory", choices=THEORIES, default="convex")
     p.add_argument("left", help="structure literal, e.g. 2,1,3")
     p.add_argument("right", help="structure literal")
     p.add_argument("--k", type=_non_negative_int, required=True)
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_states)
 
     p = subs.add_parser("check", help="evaluate a sentence on one structure")
-    p.add_argument("--theory", choices=THEORY_CHOICES, default="convex")
+    p.add_argument("--theory", choices=THEORIES, default="convex")
     p.add_argument("structure", help="structure literal, e.g. 2,1")
     _add_formula_options(p)
     p.add_argument("--emit-json", metavar="PATH")

@@ -423,19 +423,15 @@ def _convex_side_key(V: StructureView, played: tuple[int, ...]):
 
 # --- public convenience wrappers ----------------------------------------------
 
-def duplicator_wins(cfg: GameConfig, *, budget: int | None = None,
-                    solver: GameSolver | None = None) -> bool:
+def duplicator_wins(cfg: GameConfig, *, budget: int | None = None) -> bool:
     """Does Duplicator have a strategy winning the remaining rounds?"""
-    s = solver if solver is not None else GameSolver(budget=budget)
-    return s.config_value(cfg)
+    return GameSolver(budget=budget).config_value(cfg)
 
 
-def equiv_k(a, b, k: int, *, budget: int | None = None,
-            solver: GameSolver | None = None) -> bool:
+def equiv_k(a, b, k: int, *, budget: int | None = None) -> bool:
     """Do the two structures agree on all sentences of quantifier depth <= k?
 
     Decided as Duplicator's win status for the length-k game from the empty
-    position.  Accepts relational views or the typed structure wrappers.
+    position.  Accepts relational views or convex linear orders.
     """
-    s = solver if solver is not None else GameSolver(budget=budget)
-    return s.equiv(a, b, k)
+    return GameSolver(budget=budget).equiv(a, b, k)

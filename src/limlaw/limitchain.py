@@ -47,7 +47,6 @@ from .logic import (
 )
 from .structures import (
     BULLET,
-    BuildStep,
     ConvexLinearOrder,
     PartSequence,
     as_relational,
@@ -386,9 +385,9 @@ def distribution_after(chain: Chain, steps: int) -> Distribution:
 def chain_walk(chain: Chain, shape: PartSequence) -> int:
     """State reached by running the shape's construction steps from the start."""
     state = chain.start
-    for step in decompose(ConvexLinearOrder(shape)):
+    for bit in decompose(ConvexLinearOrder(shape)):
         s = chain.states[state]
-        state = s.succ_hat if step is BuildStep.HAT else s.succ_plus
+        state = s.succ_hat if bit else s.succ_plus
     return state
 
 

@@ -1,9 +1,10 @@
-"""Canonical encodings of the four structure theories and the maps between them.
+"""The one canonical encoding of the four structure theories.
 
 All four theories — convex linear orders, layered permutations, compositions,
 and fractured orders — are determined up to isomorphism by the ordered
 sequence of their class/block/part sizes, so a single :class:`PartSequence`
-is the shared canonical form.  Points are numbered 1..n in <-order
+is the shared canonical form, and a structure of any theory is the view
+``as_relational(theory, shape)``.  Points are numbered 1..n in <-order
 (respectively <1-order).  Each relation symbol, equality included, has one
 definition in :data:`RELATIONS`, a function of the two points and their
 class indices that every view reads, point by point and over arrays.
@@ -13,7 +14,6 @@ Everything here is immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from operator import index as _as_int
 
 import numpy as np
@@ -123,66 +123,8 @@ class ConvexLinearOrder:
         return self.shape.size
 
 
-@dataclass(frozen=True)
-class LayeredPermutation:
-    """Increasing blocks of decreasing runs; ``shape`` holds the block sizes."""
-
-    shape: PartSequence
-
-    @property
-    def size(self) -> int:
-        return self.shape.size
-
-    def one_line(self) -> tuple[int, ...]:
-        """One-line notation: the value at each position 1..n.
-
-        Each block occupies an interval of positions and carries the same
-        interval of values in reversed order.
-        """
-        values = []
-        lo = 1
-        for block in self.shape:
-            hi = lo + block - 1
-            values.extend(range(hi, lo - 1, -1))
-            lo = hi + 1
-        return tuple(values)
-
-    def one_line_text(self) -> str:
-        return " ".join(str(v) for v in self.one_line())
-
-
-@dataclass(frozen=True)
-class CompositionStructure:
-    """An equivalence relation with a linear order on classes only."""
-
-    shape: PartSequence
-
-    @property
-    def size(self) -> int:
-        return self.shape.size
-
-
-@dataclass(frozen=True)
-class FracturedOrder:
-    """A convex linear order split into a between-class order and a
-    within-class order (the canonical expansion of a composition)."""
-
-    shape: PartSequence
-
-    @property
-    def size(self) -> int:
-        return self.shape.size
-
-
 #: The one-point structure, base case of every construction.
 BULLET = ConvexLinearOrder(PartSequence((1,)))
-
-
-class BuildStep(Enum):
-    """The two constructors: append a new singleton class, or grow the last one."""
-
-    PLUS_BULLET = "plus_bullet"
-    HAT = "hat"
 
 
 def oplus(left: ConvexLinearOrder, right: ConvexLinearOrder) -> ConvexLinearOrder:
@@ -196,17 +138,15 @@ def hat(c: ConvexLinearOrder) -> ConvexLinearOrder:
     return ConvexLinearOrder(PartSequence(parts[:-1] + (parts[-1] + 1,)))
 
 
-def decompose(c: ConvexLinearOrder) -> tuple[BuildStep, ...]:
-    """The unique sequence of size-1 steps rebuilding ``c`` from the one-point
-    structure.  Always has length ``size - 1``."""
-    steps: list[BuildStep] = []
-    first = True
+def decompose(c: ConvexLinearOrder) -> tuple[int, ...]:
+    """The unique step bits rebuilding ``c`` from the one-point structure,
+    which :func:`shape_from_bits` inverts: 1 grows the last class, 0 starts
+    a new singleton class.  Always has length ``size - 1``."""
+    bits: list[int] = []
     for part in c.shape:
-        if not first:
-            steps.append(BuildStep.PLUS_BULLET)
-        steps.extend([BuildStep.HAT] * (part - 1))
-        first = False
-    return tuple(steps)
+        bits.append(0)
+        bits.extend([1] * (part - 1))
+    return tuple(bits[1:])
 
 
 def shape_from_bits(bits) -> PartSequence:
@@ -227,26 +167,6 @@ def enumerate_shapes(n: int) -> list[PartSequence]:
         raise ValueError(f"size must be >= 1, got {n}")
     return [shape_from_bits((mask >> i) & 1 for i in range(n - 1))
             for mask in range(1 << (n - 1))]
-
-
-def layered_to_convex(p: LayeredPermutation) -> ConvexLinearOrder:
-    """Blocks become equivalence classes; < agrees with <1."""
-    return ConvexLinearOrder(p.shape)
-
-
-def convex_to_layered(c: ConvexLinearOrder) -> LayeredPermutation:
-    """Inverse of :func:`layered_to_convex`; shape-preserving."""
-    return LayeredPermutation(c.shape)
-
-
-def expand_composition(c: CompositionStructure) -> FracturedOrder:
-    """The canonical expansion: within each class, order points by label."""
-    return FracturedOrder(c.shape)
-
-
-def fractured_to_convex(f: FracturedOrder) -> ConvexLinearOrder:
-    """Fuse the between-class and within-class orders back into one order."""
-    return ConvexLinearOrder(f.shape)
 
 
 class StructureView:
@@ -330,15 +250,9 @@ def as_relational(theory: str, shape: PartSequence) -> StructureView:
 
 
 def structure_view(structure) -> StructureView:
-    """View of a typed structure (dispatches on the wrapper class)."""
+    """A view as it is, or the convex view of a :class:`ConvexLinearOrder`."""
     if isinstance(structure, StructureView):
         return structure
     if isinstance(structure, ConvexLinearOrder):
         return StructureView("convex", structure.shape)
-    if isinstance(structure, LayeredPermutation):
-        return StructureView("layered", structure.shape)
-    if isinstance(structure, CompositionStructure):
-        return StructureView("composition", structure.shape)
-    if isinstance(structure, FracturedOrder):
-        return StructureView("fractured", structure.shape)
     raise ValueError(f"cannot build a relational view of {structure!r}")

@@ -132,6 +132,12 @@ class TestLimit:
             assert_usage_error(capsys, "limit", "--formula", PAIR,
                                "--budget", budget, option="--budget")
 
+    def test_budget_help_names_the_verify_solver(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["limit", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--verify game-tree solver only" in help_text
+
     def test_formula_file(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text(PAIR)

@@ -85,6 +85,14 @@ class TestGenericSolver:
         with pytest.raises(BudgetExceededError):
             equiv_k(_convex(*(1,) * 8), _convex(*(1,) * 9), 3, budget=5)
 
+    def test_no_solver_keyword(self):
+        # a caller's solver once silently replaced ``budget``
+        with pytest.raises(TypeError):
+            equiv_k(_convex(1), _convex(1), 1, solver=GameSolver())
+        with pytest.raises(TypeError):
+            duplicator_wins(GameConfig(_convex(1), _convex(1), (), 1),
+                            solver=GameSolver())
+
     def test_canonical_and_exact_keys_agree(self):
         rng = random.Random(31)
         fast = GameSolver(canonical_keys=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -15,20 +16,12 @@ from conftest import (
 )
 from limlaw.structures import (
     BULLET,
-    BuildStep,
-    CompositionStructure,
     ConvexLinearOrder,
-    FracturedOrder,
-    LayeredPermutation,
     PartSequence,
     as_relational,
-    convex_to_layered,
     decompose,
     enumerate_shapes,
-    expand_composition,
-    fractured_to_convex,
     hat,
-    layered_to_convex,
     oplus,
     shape_from_bits,
     structure_view,
@@ -108,10 +101,11 @@ class TestConstructors:
 
 class TestDecompose:
     def test_examples(self):
-        assert decompose(ConvexLinearOrder(PartSequence((1, 1)))) == \
-            (BuildStep.PLUS_BULLET,)
-        assert decompose(ConvexLinearOrder(PartSequence((2,)))) == \
-            (BuildStep.HAT,)
+        assert decompose(BULLET) == ()
+        assert decompose(ConvexLinearOrder(PartSequence((1, 1)))) == (0,)
+        assert decompose(ConvexLinearOrder(PartSequence((2,)))) == (1,)
+        assert decompose(ConvexLinearOrder(PartSequence((2, 1, 3)))) == \
+            (1, 0, 0, 1, 1)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_bijection_with_step_sequences(self, n):
@@ -122,16 +116,15 @@ class TestDecompose:
         for shape in shapes:
             steps = decompose(ConvexLinearOrder(shape))
             assert len(steps) == n - 1
-            assert shape_from_bits(
-                step is BuildStep.HAT for step in steps) == shape
+            assert set(steps) <= {0, 1}
+            assert shape_from_bits(steps) == shape
             seen.add(steps)
         assert len(seen) == 2 ** (n - 1)
 
     @given(parts_strategy)
     def test_replay_inverts_decompose(self, parts):
         c = ConvexLinearOrder(PartSequence(parts))
-        assert ConvexLinearOrder(shape_from_bits(
-            step is BuildStep.HAT for step in decompose(c))) == c
+        assert shape_from_bits(decompose(c)) == c.shape
 
 
 def _sampled_parts(n: int, draws: int, seed: int):
@@ -147,18 +140,9 @@ class TestSampling:
     def test_exact_path_counts_small(self):
         # every one of the 2^(n-1) step sequences yields a distinct shape
         for n in range(1, 7):
-            images = {shape_from_bits(step is BuildStep.HAT for step in steps)
-                      for steps in self._all_step_seqs(n - 1)}
+            images = {shape_from_bits(bits)
+                      for bits in itertools.product((0, 1), repeat=n - 1)}
             assert len(images) == 2 ** (n - 1)
-
-    @staticmethod
-    def _all_step_seqs(length):
-        if length == 0:
-            yield ()
-            return
-        for rest in TestSampling._all_step_seqs(length - 1):
-            yield rest + (BuildStep.PLUS_BULLET,)
-            yield rest + (BuildStep.HAT,)
 
     def test_n3_frequencies(self):
         draws = 100_000
@@ -188,52 +172,78 @@ class TestSampling:
         assert statistic < 207
 
 
+#: Per theory, the atom ``(p + left) symbol (p + right)`` that holds exactly
+#: when points p and p+1 lie in one block (class, part).
+_SAME_BLOCK = {"convex": ("E", 0, 1), "layered": ("<2", 1, 0),
+               "composition": ("E", 0, 1), "fractured": ("p2", 0, 1)}
+
+
+def _read_shape(view):
+    """The shape of a view, read from its relations alone: bit p says
+    whether points p and p+1 share a block."""
+    symbol, left, right = _SAME_BLOCK[view.theory]
+    return shape_from_bits(view.holds(symbol, p + left, p + right)
+                           for p in range(1, view.size))
+
+
+def _one_line(view):
+    """One-line notation of a layered view: the value at i is one more than
+    the number of points below i in ``<2``."""
+    pts = range(1, view.size + 1)
+    return tuple(1 + sum(view.holds("<2", j, i) for j in pts) for i in pts)
+
+
 class TestMaps:
+    """A structure of every theory is its view on the shared shape; these
+    check the correspondences between theories on those views."""
+
     def test_layered_examples(self):
-        assert layered_to_convex(LayeredPermutation(PartSequence((2, 1)))) \
-            .shape.parts == (2, 1)
-        assert layered_to_convex(LayeredPermutation(PartSequence((1, 1, 1)))) \
-            .shape.parts == (1, 1, 1)
+        assert _read_shape(as_relational(
+            "layered", PartSequence((2, 1)))).parts == (2, 1)
+        assert _read_shape(as_relational(
+            "layered", PartSequence((1, 1, 1)))).parts == (1, 1, 1)
 
     def test_one_line_notation(self):
-        p = convex_to_layered(ConvexLinearOrder(PartSequence((2, 1))))
-        assert p.one_line() == (2, 1, 3)
-        assert p.one_line_text() == "2 1 3"
-        assert convex_to_layered(BULLET).one_line() == (1,)
+        assert _one_line(as_relational("layered", PartSequence((2, 1)))) == \
+            (2, 1, 3)
+        assert _one_line(as_relational("layered", BULLET.shape)) == (1,)
 
     def test_blocks_are_where_orders_disagree(self):
-        # image classes must match exactly the pairs where <1 and <2 disagree
+        # the convex classes of a shape are exactly the pairs where the
+        # layered orders <1 and <2 of the same shape disagree
         for shape in shapes_up_to(8):
-            perm = LayeredPermutation(shape)
-            image = as_relational("convex", layered_to_convex(perm).shape)
+            layered = as_relational("layered", shape)
+            convex = as_relational("convex", shape)
             val = permutation_values(shape.parts)
             n = shape.size
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     disagree = (i < j) != (val[i] < val[j]) and i != j
-                    assert image.holds("E", i, j) == (disagree or i == j)
+                    assert (layered.holds("<1", i, j)
+                            != layered.holds("<2", i, j)) == disagree
+                    assert convex.holds("E", i, j) == (disagree or i == j)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_layered_round_trip(self, n):
+        # a shape's layered and convex views both give the shape back, and
+        # the layered view is the permutation of the conftest oracle
         for shape in enumerate_shapes(n):
-            c = ConvexLinearOrder(shape)
-            assert layered_to_convex(convex_to_layered(c)) == c
-            p = LayeredPermutation(shape)
-            assert convex_to_layered(layered_to_convex(p)) == p
+            layered = as_relational("layered", shape)
+            assert _read_shape(layered) == shape
+            assert _read_shape(as_relational("convex", shape)) == shape
+            assert _one_line(layered) == \
+                tuple(permutation_values(shape.parts)[1:])
 
     def test_expansion_examples(self):
-        f = expand_composition(CompositionStructure(PartSequence((2, 1))))
-        view = structure_view(f)
+        view = as_relational("fractured", PartSequence((2, 1)))
         assert view.holds("p2", 1, 2) and not view.holds("p2", 2, 1)
-        singletons = expand_composition(
-            CompositionStructure(PartSequence((1, 1, 1))))
-        v = structure_view(singletons)
+        v = as_relational("fractured", PartSequence((1, 1, 1)))
         assert not any(v.holds("p2", i, j)
                        for i in range(1, 4) for j in range(1, 4))
 
     def test_expansion_satisfies_fractured_axioms(self):
         for shape in shapes_up_to(8):
-            v = structure_view(expand_composition(CompositionStructure(shape)))
+            v = as_relational("fractured", shape)
             pts = range(1, shape.size + 1)
             for a in pts:
                 for rel in ("p1", "p2"):
@@ -259,9 +269,11 @@ class TestMaps:
                             assert v.holds("p1", b, c)
 
     def test_fractured_to_convex_bullets(self):
+        # fusing p1 and p2 into one order gives the convex order < of the
+        # same shape
         for shape in shapes_up_to(8):
-            frac = structure_view(FracturedOrder(shape))
-            conv = structure_view(fractured_to_convex(FracturedOrder(shape)))
+            frac = as_relational("fractured", shape)
+            conv = as_relational("convex", shape)
             n = shape.size
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -273,10 +285,21 @@ class TestMaps:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_composition_chain_is_bijective_on_shapes(self, n):
-        images = {fractured_to_convex(
-            expand_composition(CompositionStructure(s))).shape
-            for s in enumerate_shapes(n)}
-        assert images == set(enumerate_shapes(n))
+        # composition -> fractured -> convex: reading the blocks back from
+        # each view hits every shape of size n exactly once
+        shapes = enumerate_shapes(n)
+        for theory in ("composition", "fractured", "convex"):
+            images = [_read_shape(as_relational(theory, s)) for s in shapes]
+            assert images == shapes
+
+    def test_structure_view_of_views_and_convex_orders(self):
+        shape = PartSequence((2, 1))
+        view = as_relational("layered", shape)
+        assert structure_view(view) is view
+        convex = structure_view(ConvexLinearOrder(shape))
+        assert (convex.theory, convex.shape) == ("convex", shape)
+        with pytest.raises(ValueError):
+            structure_view(shape)
 
 
 class TestRelationalViews:
