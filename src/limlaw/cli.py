@@ -273,8 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("states",
                         help="the sentence-independent class machine for k")
     p.add_argument("--k", type=_non_negative_int, required=True)
-    p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--verify", action="store_true")
+    p.add_argument("--budget", type=_positive_int, default=None,
+                   help="bound on the chain's states and, under --verify, "
+                        "on the game types the solver computes")
+    p.add_argument("--verify", action="store_true",
+                   help="re-check state distinctness with the game solver")
     p.add_argument("--emit-json", metavar="PATH")
     p.add_argument("--emit-dot", metavar="PATH")
     p.set_defaults(func=cmd_states)

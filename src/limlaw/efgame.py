@@ -18,6 +18,18 @@ cross-check the other:
   left is decided by comparing the two sides' extension types, without a
   memo entry.
 
+  :meth:`GameSolver.type_id` reads the same codes from one side only: a
+  structure's depth-k game type, the set of (atomic type, depth k-1 type)
+  over its points, interned to an id (two structures are k-equivalent iff
+  their types are equal, by the Ehrenfeucht-Fraisse/Hintikka-type
+  theorem).  Telling N structures apart then takes N types, not N(N-1)/2
+  games, which is how the class chain is verified: on the depth-2 chain,
+  453 types in 4-6 ms against 13,353 search nodes in 45-76 ms (2-core
+  host, Python 3.11).  ``equiv`` keeps its pair search, which stops at
+  Spoiler's first winning move where a type enumerates every move of its
+  side to full depth: linear orders of 20 and 40 points at k = 5 take
+  33,831 search nodes in 0.31 s, and 108,287 types in 3.2 s.
+
 * :func:`fast_equiv_convex` — a compositional decider for convex linear
   orders that splits the board at the chosen point and solves the two
   marked sub-segments independently.
@@ -29,8 +41,8 @@ They are process-global and unsynchronised: every caller in the process
 shares them, they grow until :func:`clear_fast_memo` empties them, and
 nothing here coordinates concurrent callers.  A :class:`GameSolver` instance
 owns its memo, the pair-code table and extension types of every structure it
-has met (keyed by theory and parts) and its reply orders; it is meant to be
-confined to one sweep.
+has met (keyed by theory and parts), its reply orders, and its game types
+and their ids; it is meant to be confined to one sweep.
 """
 from __future__ import annotations
 
@@ -209,6 +221,8 @@ class GameSolver:
         self._memo: dict = {}
         self._boards: dict = {}
         self._orders: dict = {}
+        self._type_memo: dict = {}
+        self._type_intern: dict = {}
 
     def equiv(self, a, b, k: int) -> bool:
         if k < 0:
@@ -228,6 +242,21 @@ class GameSolver:
         pairs = tuple(sorted(cfg.pairs))
         _check_partial_isomorphism(A, B, pairs)
         return self._win(A, B, pairs, cfg.rounds_left)
+
+    def type_id(self, structure, k: int) -> int:
+        """The structure's depth-k game type, read from its own side only,
+        as an id interned by this solver: two structures are k-equivalent
+        iff their ids at the same k are equal.
+
+        ``T_0`` is 0.  ``T_r(S)``, over a set ``S`` of played points, is the
+        set of (atomic type of p over ``S``, ``T_{r-1}(S + p)``) over the
+        unplayed points p; ``T_1(S)`` is the set of extension types.  Each
+        type computed, not found in the memo, is one node under
+        ``budget``.
+        """
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        return self._type(self._board(structure_view(structure)), (), k)
 
     # internal ---------------------------------------------------------------
 
@@ -257,6 +286,41 @@ class GameSolver:
         value = self._search(A, B, pairs, r)
         self._memo[key] = value
         return value
+
+    def _type(self, V: _Board, played: tuple, r: int) -> int:
+        if r <= 0:
+            return 0
+        view = V.view
+        # ``<`` is atomic in the convex signature, so every partial
+        # isomorphism preserves order and the played points may be kept as
+        # a sorted set; elsewhere play order is kept (a composition orders
+        # no class by an atomic relation).  The gap decomposition of
+        # ``_key`` would share no more: (V, S) and (V', S') are isomorphic
+        # only if V and V' are, and a finite linear order has no
+        # automorphism but the identity.
+        ordered = self.canonical_keys and view.theory == "convex"
+        key = (r, view.theory, view.shape.parts, played)
+        tid = self._type_memo.get(key)
+        if tid is not None:
+            return tid
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            raise BudgetExceededError(
+                f"game budget exhausted after {self.nodes} nodes typing "
+                f"{view.theory} {view.shape} at depth {r}", self.nodes)
+        if r == 1:
+            items = V.extension_types(played)
+        else:
+            type_of = itemgetter(0, *played)
+            codes = V.codes
+            items = frozenset(
+                (type_of(codes[p]),
+                 self._type(V, tuple(sorted((*played, p))) if ordered
+                            else (*played, p), r - 1))
+                for p in range(1, V.size + 1) if p not in played)
+        intern = self._type_intern
+        tid = self._type_memo[key] = intern.setdefault(items, len(intern) + 1)
+        return tid
 
     def _search(self, A, B, pairs, r) -> bool:
         xs, ys = zip(*pairs) if pairs else ((), ())

@@ -318,6 +318,23 @@ class TestStates:
         assert code == 3
         assert "budget" in err or "closure" in err
 
+    def test_budget_help_names_both_bounds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["states", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--budget BUDGET bound on the chain's states and, under "
+                "--verify, on the game types the solver computes") in help_text
+
+    def test_budget_bounds_the_verify_types(self, capsys):
+        # the depth-2 chain has 57 states and its check computes 453 types
+        code, out, _ = run_cli(capsys, "states", "--k", "2", "--verify",
+                               "--budget", "453")
+        assert code == 0 and "states: 57" in out
+        code, _, err = run_cli(capsys, "states", "--k", "2", "--verify",
+                               "--budget", "452")
+        assert code == 3
+        assert "after 453 nodes typing convex" in err
+
     def test_bad_k_and_budget_exit_2(self, capsys):
         assert_usage_error(capsys, "states", "--k", "-1", option="--k")
         assert_usage_error(capsys, "states", "--k", "2", "--budget", "0",

@@ -80,10 +80,31 @@ class TestGenericSolver:
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             GameSolver().equiv(_convex(1), _convex(1), -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            GameSolver().type_id(_convex(1), -1)
 
     def test_budget_exhaustion_is_reported(self):
         with pytest.raises(BudgetExceededError):
             equiv_k(_convex(*(1,) * 8), _convex(*(1,) * 9), 3, budget=5)
+        with pytest.raises(BudgetExceededError, match="convex 1,1,1,1,1,1,1,1"):
+            GameSolver(budget=5).type_id(_convex(*(1,) * 8), 3)
+
+    @pytest.mark.parametrize("theory, max_size, canonical", [
+        ("convex", 6, True), ("convex", 6, False), ("layered", 5, True),
+        ("composition", 5, True), ("fractured", 5, True)])
+    def test_type_ids_decide_equiv(self, theory, max_size, canonical):
+        # equal depth-k types exactly when the pair search finds the two
+        # structures k-equivalent; at depth 0 everything is equivalent
+        views = [as_relational(theory, s) for s in shapes_up_to(max_size)]
+        typer = GameSolver(canonical_keys=canonical)
+        search = GameSolver(canonical_keys=canonical)
+        assert {typer.type_id(v, 0) for v in views} == {0}
+        for k in range(1, 4):
+            ids = [typer.type_id(v, k) for v in views]
+            for i, a in enumerate(views):
+                for j in range(i + 1, len(views)):
+                    assert (ids[i] == ids[j]) == search.equiv(a, views[j], k), \
+                        (str(a.shape), str(views[j].shape), k)
 
     def test_no_solver_keyword(self):
         # a caller's solver once silently replaced ``budget``
@@ -449,10 +470,11 @@ def test_segment_decider_work_is_pinned():
 
 def test_game_search_work_is_pinned():
     # nodes the generic solver visits; a change here is a change in its move
-    # order or pruning, not only in its speed
+    # order or pruning, not only in its speed.  Verifying a chain computes
+    # one node per game type, depth by depth
     solver = GameSolver()
     verify_chain_states(build_chain(2), solver)
-    assert solver.nodes == 13353
+    assert solver.nodes == 453
     a, b = PartSequence((2, 1, 3)), PartSequence((3, 1, 2))
     for theory, nodes in (("convex", 20), ("layered", 20),
                           ("composition", 48), ("fractured", 20)):

@@ -531,6 +531,65 @@ class TestVerification:
         with pytest.raises(InternalVerificationError):
             verify_chain_states(Chain(k=2, states=states, start=0))
 
+    def test_k2_representatives_pairwise_inequivalent_by_search(self):
+        # the pairwise game search as the oracle of the per-side types
+        views = [as_relational("convex", s.representative.shape)
+                 for s in build_chain(2).states]
+        assert len(views) == 57
+        solver = GameSolver()
+        for i, a in enumerate(views):
+            for b in views[i + 1:]:
+                assert not solver.equiv(a, b, 2), (a, b)
+
+    def test_equivalent_states_survive_to_depth_k(self):
+        # linear orders of 7 and 8 points agree up to depth 3; 1,1 and 2 are
+        # told apart from them and from each other at depth 2, so only the
+        # two linear orders are typed at depth 3
+        shapes = ((1,) * 7, (1, 1), (1,) * 8, (2,))
+        states = tuple(ChainState(i, ConvexLinearOrder(PartSequence(parts)),
+                                  None, i, i)
+                       for i, parts in enumerate(shapes))
+        solver = _TypeLog()
+        with pytest.raises(InternalVerificationError,
+                           match=r"states 0 \(1,1,1,1,1,1,1\) and "
+                                 r"2 \(1,1,1,1,1,1,1,1\) .* depth 3"):
+            verify_chain_states(Chain(k=3, states=states, start=0), solver)
+        names = [",".join(map(str, parts)) for parts in shapes]
+        assert solver.log == [(name, r) for r in (1, 2) for name in names] \
+            + [(names[0], 3), (names[2], 3)]
+
+    def test_states_told_apart_are_not_typed_deeper(self):
+        # the depth-2 representatives are pairwise inequivalent at depth 2,
+        # so checking them at depth 3 types none of them at depth 3
+        states = build_chain(2).states
+        solver = _TypeLog()
+        verify_chain_states(Chain(k=3, states=states, start=0), solver)
+        names = [str(s.representative.shape) for s in states]
+        assert solver.log == [(name, r) for r in (1, 2) for name in names]
+
+    def test_one_state_and_depth_zero_chains(self):
+        one = ChainState(0, ConvexLinearOrder(PartSequence((2,))), None, 0, 0)
+        solver = _TypeLog()
+        verify_chain_states(Chain(k=3, states=(one,), start=0), solver)
+        two = (one, ChainState(1, ConvexLinearOrder(PartSequence((1, 1))),
+                               None, 1, 1))
+        with pytest.raises(InternalVerificationError,
+                           match=r"states 0 \(2\) and 1 \(1,1\) .* depth 0"):
+            verify_chain_states(Chain(k=0, states=two, start=0), solver)
+        assert solver.log == []
+
+
+class _TypeLog(GameSolver):
+    """A solver that records the (shape, depth) of every type asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def type_id(self, structure, k):
+        self.log.append((str(structure.shape), k))
+        return super().type_id(structure, k)
+
 
 class TestExports:
     def test_json_round_trip_preserves_limit(self, tmp_path):
