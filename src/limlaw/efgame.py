@@ -210,8 +210,10 @@ class GameSolver:
     keyed by isomorphism-invariant position descriptions, so sweeps over
     many structure pairs share work.  ``canonical_keys=False`` falls back to
     exact point tuples (slower, with fewer shared assumptions — the mode the
-    cross-validation tests run in).  Each structure the solver meets is
-    read once, into a :class:`_Board` kept by theory and parts.
+    cross-validation tests run in); it applies to the pair search only, and
+    :meth:`type_id` keeps a convex board's played points sorted in both
+    modes.  Each structure the solver meets is read once, into a
+    :class:`_Board` kept by theory and parts.
     """
 
     def __init__(self, budget: int | None = None, canonical_keys: bool = True):
@@ -298,7 +300,7 @@ class GameSolver:
         # ``_key`` would share no more: (V, S) and (V', S') are isomorphic
         # only if V and V' are, and a finite linear order has no
         # automorphism but the identity.
-        ordered = self.canonical_keys and view.theory == "convex"
+        ordered = view.theory == "convex"
         key = (r, view.theory, view.shape.parts, played)
         tid = self._type_memo.get(key)
         if tid is not None:

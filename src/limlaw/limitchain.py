@@ -681,16 +681,10 @@ def verify_chain_states(chain: Chain, solver: GameSolver | None = None) -> None:
     states are refined depth by depth: all of them start in one group, and
     at r = 1..k each group is split by depth-r type and its singletons
     dropped.  States told apart at r < k are inequivalent at k too, so they
-    are never typed deeper.  On the 57-state depth-2 chain this computes
-    453 types in 4-6 ms, where the pairwise search visited 13,353 game
-    nodes in 45-76 ms.  On ladder A at m = 8 (depth 9, 16 states) it
-    computes 3,097 types in 28-50 ms, where the pairwise search visited
-    31,792 nodes in 1.4 s, and typing every state at depth 9 alone,
-    without the refinement, computes 89,844 types in 2.3 s (2-core host,
-    best of 3).  :meth:`GameSolver.equiv` keeps its search, which is
-    faster for one pair with an early Spoiler win (see
-    :mod:`limlaw.efgame`).  The types read only the solver's pair codes,
-    never the segment decider that built the chain.
+    are never typed deeper; most states fall apart at shallow depths, where
+    types are cheap, which makes this far cheaper than typing every state
+    at depth k.  The types read only the solver's pair codes, never the
+    segment decider that built the chain.
     """
     s = solver if solver is not None else GameSolver()
     views = [as_relational("convex", st.representative.shape)

@@ -28,8 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .structures import (CLASS_BLIND, RELATION_SYMBOLS, RELATIONS,
-                         _THEORY_RELATIONS)
+from .structures import RELATION_SYMBOLS, RELATIONS, _THEORY_RELATIONS
 
 
 class FormulaSyntaxError(ValueError):
@@ -755,8 +754,6 @@ def evaluate_classes(theory: str, classes: np.ndarray, f: Formula
 
     def relation(symbol: str, left: np.ndarray, right: np.ndarray
                  ) -> np.ndarray:
-        if symbol in CLASS_BLIND:
-            return rel[symbol](left, right, None, None)
         return rel[symbol](left, right, classes[batch, left],
                            classes[batch, right])
 

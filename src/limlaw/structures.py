@@ -46,10 +46,6 @@ RELATIONS = {
     "p2": lambda i, j, ci, cj: (ci == cj) & (i < j),
 }
 
-#: The symbols whose definitions never read ``ci`` or ``cj``: array
-#: callers pass ``None`` for both instead of gathering classes.
-CLASS_BLIND = frozenset({"=", "<", "<1"})
-
 #: Each theory's relations, ``=`` included, shared by all of its views.
 _THEORY_RELATIONS = {
     theory: {symbol: RELATIONS[symbol] for symbol in ("=", *symbols)}
@@ -236,8 +232,6 @@ class StructureView:
             raise ValueError(
                 f"relation {symbol!r} not in the {self.theory} signature"
             ) from None
-        if symbol in CLASS_BLIND:
-            return rel(left, right, None, None)
         if self._classes is None:
             self._classes = np.array(self.cls_of)
         classes = self._classes

@@ -16,8 +16,6 @@ from conftest import (
 )
 from limlaw.structures import (
     BULLET,
-    CLASS_BLIND,
-    RELATIONS,
     ConvexLinearOrder,
     PartSequence,
     as_relational,
@@ -368,18 +366,6 @@ class TestRelationalViews:
                             == m[:, p - 1]).all()
         with pytest.raises(ValueError):
             as_relational("convex", PartSequence((2,))).relation("p1", 1, 2)
-
-    def test_class_blind_symbols_are_those_that_ignore_classes(self):
-        # array callers hand a class-blind symbol no classes, so its
-        # definition must not read them; every other definition does
-        rng = np.random.default_rng(7)
-        i, j = rng.integers(1, 9, (2, 400))
-        ci, cj, ci2, cj2 = rng.integers(0, 4, (4, 400))
-        for sym, rel in RELATIONS.items():
-            if sym in CLASS_BLIND:
-                assert (rel(i, j, None, None) == rel(i, j, ci, cj)).all(), sym
-            else:
-                assert (rel(i, j, ci, cj) != rel(i, j, ci2, cj2)).any(), sym
 
     @settings(max_examples=60)
     @given(parts_strategy, st.sampled_from(
