@@ -2,6 +2,8 @@
 and compositions: structures, first-order model checking, back-and-forth
 game deciders, and the class-level state machine with exact limits."""
 
+import types as _types
+
 from .structures import (
     BULLET,
     ConvexLinearOrder,
@@ -15,22 +17,15 @@ from .structures import (
 )
 from .logic import (
     SIGNATURES,
-    Signature,
     evaluate,
     format_formula,
-    free_variables,
     parse,
     quantifier_depth,
-    translate_composition,
-    translate_layered,
     translate_to_convex,
 )
 from .efgame import (
     BudgetExceededError,
-    GameConfig,
     GameSolver,
-    MarkedSegment,
-    duplicator_wins,
     equiv_k,
     fast_equiv_convex,
     fast_equiv_shapes,
@@ -57,6 +52,9 @@ from .limitchain import (
     verify_chain_states,
 )
 from .stepauto import StepAutomaton, compile_sentence
-from .battery import BATTERY, BatterySentence
+from .battery import BATTERY
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above stay out of ``import *``
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

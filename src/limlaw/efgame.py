@@ -4,15 +4,17 @@ Two routes to the same relation, kept deliberately independent so each can
 cross-check the other:
 
 * :class:`GameSolver` / :func:`equiv_k` — a memoized game-tree search over
-  any pair of relational views.  Positions reached with the same remaining
-  rounds and isomorphic marked remainders have the same value, so for convex
-  views the memo key is the canonical gap decomposition around the played
-  points; for everything else it is the exact point tuples.  Either key is a
-  pure isomorphism invariant of the position — correctness never depends on
-  which one is used, only speed does.  The solver reads each structure once,
-  through the view's ``relation`` (the same definitions ``holds`` reads),
-  into a pair-code table: one small int per ordered pair of points, packing
-  every symbol of the signature in both directions.
+  any pair of relational views.  A position is memoized under its exact
+  description: rounds remaining and, for each side, the theory, the parts
+  and the played points.  Nothing coarser would share more on convex
+  views: a marked convex linear order is isomorphic only to itself, since a
+  finite linear order has no automorphism but the identity.  The solver
+  reads each structure once, through the view's ``relation`` (the same
+  definitions ``holds`` reads), into a pair-code table: one small int per
+  ordered pair of points, packing every symbol of the signature in both
+  directions.  A structure whose table would pass
+  ``logic.MAX_EVALUATION_CELLS`` cells is refused with
+  :class:`BudgetExceededError` before the table is built.
   Consistency of a reply, the one-point extension types and the
   partial-isomorphism check all compare codes.  A position with one round
   left is decided by comparing the two sides' extension types, without a
@@ -51,6 +53,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import logic
 from .logic import BudgetExceededError, SignatureError
 from .structures import (
     ConvexLinearOrder,
@@ -189,36 +192,17 @@ def reduce_representative(c: ConvexLinearOrder, k: int) -> ConvexLinearOrder:
 # --- the generic game-tree solver ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """A position: two views, the played point pairs, and rounds remaining."""
-
-    left: StructureView
-    right: StructureView
-    pairs: tuple[tuple[int, int], ...]
-    rounds_left: int
-
-    def __post_init__(self) -> None:
-        if self.rounds_left < 0:
-            raise ValueError("rounds_left must be >= 0")
-
-
 class GameSolver:
     """Memoized search for Duplicator's winning status.
 
     A single solver may be reused across many queries; the memo table is
-    keyed by isomorphism-invariant position descriptions, so sweeps over
-    many structure pairs share work.  ``canonical_keys=False`` falls back to
-    exact point tuples (slower, with fewer shared assumptions — the mode the
-    cross-validation tests run in); it applies to the pair search only, and
-    :meth:`type_id` keeps a convex board's played points sorted in both
-    modes.  Each structure the solver meets is read once, into a
+    keyed by exact positions, so sweeps over many structure pairs share
+    work.  Each structure the solver meets is read once, into a
     :class:`_Board` kept by theory and parts.
     """
 
-    def __init__(self, budget: int | None = None, canonical_keys: bool = True):
+    def __init__(self, budget: int | None = None):
         self.budget = budget
-        self.canonical_keys = canonical_keys
         self.nodes = 0
         self._memo: dict = {}
         self._boards: dict = {}
@@ -226,24 +210,23 @@ class GameSolver:
         self._type_memo: dict = {}
         self._type_intern: dict = {}
 
-    def equiv(self, a, b, k: int) -> bool:
+    def equiv(self, a, b, k: int, pairs=()) -> bool:
+        """Does Duplicator win the k remaining rounds on ``a`` and ``b``
+        from the position where the point pairs ``pairs`` are played?
+
+        ``pairs`` must be a partial isomorphism (``ValueError`` otherwise);
+        with none played this is k-equivalence of the two structures.
+        """
         if k < 0:
             raise ValueError("k must be >= 0")
         left, right = structure_view(a), structure_view(b)
         if left.signature != right.signature:
             raise SignatureError(
                 f"signature mismatch: {left.theory} vs {right.theory}")
-        return self._win(self._board(left), self._board(right), (), k)
-
-    def config_value(self, cfg: GameConfig) -> bool:
-        left, right = cfg.left, cfg.right
-        if left.signature != right.signature:
-            raise SignatureError(
-                f"signature mismatch: {left.theory} vs {right.theory}")
         A, B = self._board(left), self._board(right)
-        pairs = tuple(sorted(cfg.pairs))
+        pairs = tuple(sorted(pairs))
         _check_partial_isomorphism(A, B, pairs)
-        return self._win(A, B, pairs, cfg.rounds_left)
+        return self._win(A, B, pairs, k)
 
     def type_id(self, structure, k: int) -> int:
         """The structure's depth-k game type, read from its own side only,
@@ -281,7 +264,9 @@ class GameSolver:
         if r == 1:
             # deciding it costs no more than its memo key would
             return _one_round_value(A, B, pairs)
-        key = self._key(A.view, B.view, pairs, r)
+        sa = (A.view.theory, A.view.shape.parts, tuple(x for x, _ in pairs))
+        sb = (B.view.theory, B.view.shape.parts, tuple(y for _, y in pairs))
+        key = (r, sa, sb) if sa <= sb else (r, sb, sa)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -296,10 +281,7 @@ class GameSolver:
         # ``<`` is atomic in the convex signature, so every partial
         # isomorphism preserves order and the played points may be kept as
         # a sorted set; elsewhere play order is kept (a composition orders
-        # no class by an atomic relation).  The gap decomposition of
-        # ``_key`` would share no more: (V, S) and (V', S') are isomorphic
-        # only if V and V' are, and a finite linear order has no
-        # automorphism but the identity.
+        # no class by an atomic relation).
         ordered = view.theory == "convex"
         key = (r, view.theory, view.shape.parts, played)
         tid = self._type_memo.get(key)
@@ -362,15 +344,6 @@ class GameSolver:
                 sorted(range(1, n + 1), key=lambda q: abs(q / (n + 1) - rel)))
         return order
 
-    def _key(self, A, B, pairs, r):
-        if self.canonical_keys and A.theory == "convex" and B.theory == "convex":
-            ka = _convex_side_key(A, tuple(x for x, _ in pairs))
-            kb = _convex_side_key(B, tuple(y for _, y in pairs))
-            return ("c", r) + ((ka, kb) if ka <= kb else (kb, ka))
-        sa = (A.theory, A.shape.parts, tuple(x for x, _ in pairs))
-        sb = (B.theory, B.shape.parts, tuple(y for _, y in pairs))
-        return ("x", r) + ((sa, sb) if sa <= sb else (sb, sa))
-
 
 class _Board:
     """One structure as the solver reads it: the view, its pair-code table
@@ -379,6 +352,12 @@ class _Board:
     __slots__ = ("view", "size", "codes", "_types")
 
     def __init__(self, view: StructureView):
+        cells = view.size * view.size
+        if cells > logic.MAX_EVALUATION_CELLS:
+            raise BudgetExceededError(
+                f"a game board of {view.size} points needs {cells} pair "
+                f"codes, over the bound of {logic.MAX_EVALUATION_CELLS}",
+                cells)
         self.view = view
         self.size = view.size
         self.codes = _pair_codes(view)
@@ -456,43 +435,7 @@ def _check_partial_isomorphism(A: _Board, B: _Board, pairs) -> None:
                     f"pairs {(x, y)} and {(x2, y2)} disagree on {sym!r}")
 
 
-def _convex_side_key(V: StructureView, played: tuple[int, ...]):
-    """Canonical description of (structure, played tuple) up to isomorphism:
-    the E-pattern of consecutive played points plus the marked segment of
-    every gap between them."""
-    cls_of = V.cls_of
-    parts = V.shape.parts
-    starts = V.class_starts
-    n = V.size
-    ebits = tuple(cls_of[played[i]] == cls_of[played[i + 1]]
-                  for i in range(len(played) - 1))
-    bounds = (0,) + played + (n + 1,)
-    gaps = []
-    for g in range(len(bounds) - 1):
-        lo, hi = bounds[g], bounds[g + 1]
-        first, last = lo + 1, hi - 1
-        if first > last:
-            gaps.append(((), False, False))
-            continue
-        c_first, c_last = cls_of[first], cls_of[last]
-        if c_first == c_last:
-            sizes = (hi - lo - 1,)
-        else:
-            # the gap's blocks, less the points of the end blocks outside it
-            sizes = ((starts[c_first + 1] - first,) + parts[c_first + 1:c_last]
-                     + (hi - starts[c_last],))
-        la = lo >= 1 and cls_of[lo] == c_first
-        ra = hi <= n and cls_of[hi] == c_last
-        gaps.append((sizes, la, ra))
-    return (ebits, tuple(gaps))
-
-
-# --- public convenience wrappers ----------------------------------------------
-
-def duplicator_wins(cfg: GameConfig, *, budget: int | None = None) -> bool:
-    """Does Duplicator have a strategy winning the remaining rounds?"""
-    return GameSolver(budget=budget).config_value(cfg)
-
+# --- public convenience wrapper -----------------------------------------------
 
 def equiv_k(a, b, k: int, *, budget: int | None = None) -> bool:
     """Do the two structures agree on all sentences of quantifier depth <= k?

@@ -565,9 +565,11 @@ def _chain(op: type, parts: list[Formula]) -> Formula:
 #: :func:`evaluate_classes` for one node, or the class rows, of all its
 #: structures together.  A node with ``w`` free bound variables counts
 #: ``max(size, 2) ** w`` cells per structure.  Past the bound, both raise
-#: :class:`BudgetExceededError` before they allocate anything.  Counting at least 2 per axis keeps the
-#: number of array axes at most 23, well inside NumPy's limit, at every
-#: size.
+#: :class:`BudgetExceededError` before they allocate anything.  Counting at
+#: least 2 per axis keeps the number of array axes at most 23, well inside
+#: NumPy's limit, at every size.  The game solver of :mod:`limlaw.efgame`
+#: reads the same bound for its pair-code table, ``size ** 2`` cells per
+#: board: it refuses a structure of more than 2048 points the same way.
 MAX_EVALUATION_CELLS = 1 << 22
 
 _RELATION, _CONSTANT, _NOT, _AND, _OR, _IMPLIES, _IFF, _EXISTS, _FORALL = \

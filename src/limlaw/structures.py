@@ -179,7 +179,7 @@ class StructureView:
     """
 
     __slots__ = ("theory", "shape", "size", "signature", "symbols",
-                 "cls_of", "class_starts", "_rel", "_classes")
+                 "cls_of", "_rel", "_classes")
 
     def __init__(self, theory: str, shape: PartSequence):
         if theory not in THEORIES:
@@ -191,15 +191,12 @@ class StructureView:
         self.signature = frozenset(self.symbols)
         # cls_of[p] is the 0-based class index of point p (index 0 unused)
         cls_of = [0] * (self.size + 1)
-        starts = []
         point = 1
         for idx, part in enumerate(shape):
-            starts.append(point)
             for _ in range(part):
                 cls_of[point] = idx
                 point += 1
         self.cls_of = tuple(cls_of)
-        self.class_starts = tuple(starts)
         self._rel = _THEORY_RELATIONS[theory]
         self._classes: np.ndarray | None = None  # cls_of, for relation()
 

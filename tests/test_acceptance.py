@@ -48,7 +48,7 @@ def _battery_analyses():
 
 @lru_cache(maxsize=None)
 def _shared_solver():
-    return GameSolver(canonical_keys=True)
+    return GameSolver()
 
 
 #: Per theory, the atom ``(p + left) symbol (p + right)`` that holds exactly
@@ -100,7 +100,7 @@ def test_criterion_03_oracle_equivalence():
     shapes = shapes_up_to(7)
     assert len(shapes) == 127
     views = [as_relational("convex", s) for s in shapes]
-    solver = GameSolver(canonical_keys=False)
+    solver = GameSolver()
     disagreements = 0
     checked = 0
     for k in (1, 2, 3):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from limlaw import logic
 from limlaw.cli import main
 from limlaw.logic import MAX_NESTING
 
@@ -274,6 +275,14 @@ class TestEf:
                                "--k", "3", "--oracle", "--budget", "4")
         assert code == 3
         assert "budget" in err
+
+    def test_oversized_board_exit_3(self, capsys, monkeypatch):
+        # the pair-code table of an 11-point board has 121 cells
+        monkeypatch.setattr(logic, "MAX_EVALUATION_CELLS", 100)
+        code, out, err = run_cli(capsys, "ef", "--oracle", "11", "1",
+                                 "--k", "1")
+        assert (code, out) == (3, "")
+        assert "11 points" in err and "bound of 100" in err
 
     def test_other_theories(self, capsys):
         code, out, _ = run_cli(capsys, "ef", "--theory", "composition",

@@ -1,17 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import partition_by, random_shape, shapes_up_to
 from limlaw.battery import BATTERY
+from limlaw import efgame, logic
 from limlaw.efgame import (
     BudgetExceededError,
-    GameConfig,
     GameSolver,
     MarkedSegment,
     _pair_codes,
     clear_fast_memo,
-    duplicator_wins,
     equiv_k,
     fast_equiv_convex,
     fast_equiv_shapes,
@@ -57,7 +57,7 @@ class TestGenericSolver:
         assert evaluate(_convex(2), two_points)
 
     def test_linear_order_threshold_small(self):
-        solver = GameSolver(canonical_keys=False)
+        solver = GameSolver()
         for k in range(4):
             for n in range(1, 10):
                 for m in range(n, 10):
@@ -89,15 +89,14 @@ class TestGenericSolver:
         with pytest.raises(BudgetExceededError, match="convex 1,1,1,1,1,1,1,1"):
             GameSolver(budget=5).type_id(_convex(*(1,) * 8), 3)
 
-    @pytest.mark.parametrize("theory, max_size, canonical", [
-        ("convex", 6, True), ("convex", 6, False), ("layered", 5, True),
-        ("composition", 5, True), ("fractured", 5, True)])
-    def test_type_ids_decide_equiv(self, theory, max_size, canonical):
+    @pytest.mark.parametrize("theory, max_size", [
+        ("convex", 6), ("layered", 5), ("composition", 5), ("fractured", 5)])
+    def test_type_ids_decide_equiv(self, theory, max_size):
         # equal depth-k types exactly when the pair search finds the two
         # structures k-equivalent; at depth 0 everything is equivalent
         views = [as_relational(theory, s) for s in shapes_up_to(max_size)]
-        typer = GameSolver(canonical_keys=canonical)
-        search = GameSolver(canonical_keys=canonical)
+        typer = GameSolver()
+        search = GameSolver()
         assert {typer.type_id(v, 0) for v in views} == {0}
         for k in range(1, 4):
             ids = [typer.type_id(v, k) for v in views]
@@ -110,19 +109,6 @@ class TestGenericSolver:
         # a caller's solver once silently replaced ``budget``
         with pytest.raises(TypeError):
             equiv_k(_convex(1), _convex(1), 1, solver=GameSolver())
-        with pytest.raises(TypeError):
-            duplicator_wins(GameConfig(_convex(1), _convex(1), (), 1),
-                            solver=GameSolver())
-
-    def test_canonical_and_exact_keys_agree(self):
-        rng = random.Random(31)
-        fast = GameSolver(canonical_keys=True)
-        slow = GameSolver(canonical_keys=False)
-        for _ in range(150):
-            a = as_relational("convex", random_shape(rng, 7))
-            b = as_relational("convex", random_shape(rng, 7))
-            k = rng.randint(0, 3)
-            assert fast.equiv(a, b, k) == slow.equiv(a, b, k)
 
     def test_one_round_base_case_against_raw_search(self):
         # every spoiler move must admit a consistent reply, spelled out
@@ -165,39 +151,59 @@ class TestGenericSolver:
                               if q not in {y for _, y in pairs}]
                     if free_a and free_b:
                         pairs.append((rng.choice(free_a), rng.choice(free_b)))
-                cfg = GameConfig(A, B, tuple(pairs), 1)
                 try:
-                    value = solver.config_value(cfg)
+                    value = solver.equiv(A, B, 1, pairs=pairs)
                 except ValueError:
                     continue
                 assert value == raw_one_round(A, B, sorted(pairs)), \
                     (theory, str(A.shape), str(B.shape), pairs)
                 built += 1
 
-    def test_canonical_keys_agree_on_mid_game_positions(self):
-        # play random consistent openings and compare the two key schemes on
-        # the residual game value, not just on whole-structure equivalence
+    def test_mid_game_positions_against_the_segment_decider(self):
+        # with r rounds left on convex orders, Duplicator wins iff every gap
+        # between consecutive played points is r-equivalent to its partner
+        # gap as a marked segment; the openings go through a
+        # near-isomorphism (b is a with one part grown by 0-2 points, and
+        # each point keeps its part and its place in it), so both outcomes
+        # occur often
+        def starts(parts):
+            return list(itertools.accumulate((1, *parts[:-1])))
+
+        def gaps(view, played):
+            cls_of, n = view.cls_of, view.size
+            bounds = (0, *played, n + 1)
+            for lo, hi in zip(bounds, bounds[1:]):
+                inside = cls_of[lo + 1:hi]
+                if not inside:
+                    yield MarkedSegment()
+                    continue
+                yield MarkedSegment(
+                    tuple(len(list(run)) for _, run in itertools.groupby(inside)),
+                    lo >= 1 and cls_of[lo] == inside[0],
+                    hi <= n and cls_of[hi] == inside[-1])
+
         rng = random.Random(113)
-        fast = GameSolver(canonical_keys=True)
-        slow = GameSolver(canonical_keys=False)
-        built = 0
-        while built < 120:
-            a = as_relational("convex", random_shape(rng, 8))
-            b = as_relational("convex", random_shape(rng, 8))
-            pairs = []
-            for _ in range(rng.randint(1, 3)):
-                free_a = [p for p in a.points() if p not in {x for x, _ in pairs}]
-                free_b = [q for q in b.points() if q not in {y for _, y in pairs}]
-                if not free_a or not free_b:
-                    break
-                pairs.append((rng.choice(free_a), rng.choice(free_b)))
-            cfg = GameConfig(a, b, tuple(pairs), rng.randint(1, 3))
-            try:
-                value_slow = slow.config_value(cfg)
-            except ValueError:
-                continue  # the random opening was not a partial isomorphism
-            assert fast.config_value(cfg) == value_slow
-            built += 1
+        solver = GameSolver()
+        wins = {1: 0, 2: 0, 3: 0}
+        for _ in range(120):
+            shape = random_shape(rng, 8)
+            grown = list(shape.parts)
+            grown[rng.randrange(len(grown))] += rng.randint(0, 2)
+            a = as_relational("convex", shape)
+            b = as_relational("convex", PartSequence(tuple(grown)))
+            a_starts, b_starts = starts(shape.parts), starts(grown)
+            opening = rng.sample(a.points(), min(a.size, rng.randint(1, 3)))
+            pairs = [(x, x - a_starts[a.cls_of[x]] + b_starts[a.cls_of[x]])
+                     for x in opening]
+            r = rng.randint(1, 3)
+            value = solver.equiv(a, b, r, pairs=pairs)
+            xs, ys = zip(*sorted(pairs))
+            assert value == all(
+                fast_equiv_convex(s, t, r)
+                for s, t in zip(gaps(a, xs), gaps(b, ys))), \
+                (str(a.shape), str(b.shape), pairs, r)
+            wins[r] += value
+        assert min(wins.values()) >= 5, wins
 
     @pytest.mark.parametrize("theory", THEORIES)
     def test_pair_codes_match_holds(self, theory):
@@ -236,30 +242,64 @@ class TestGenericSolver:
         assert equiv_k(a, b, 1)
 
 
-class TestGameConfig:
+class TestPlayedPairs:
     def test_equal_structures_any_pairs(self):
         v = _convex(2, 2, 1)
-        cfg = GameConfig(v, v, ((1, 1), (3, 3)), 3)
-        assert duplicator_wins(cfg)
+        assert GameSolver().equiv(v, v, 3, pairs=((1, 1), (3, 3)))
 
     def test_invalid_pairs_rejected(self):
         a, b = _convex(2), _convex(1, 1)
-        with pytest.raises(ValueError):
-            duplicator_wins(GameConfig(a, b, ((1, 1), (2, 2)), 1))
+        with pytest.raises(ValueError, match="disagree on 'E'"):
+            GameSolver().equiv(a, b, 1, pairs=((1, 1), (2, 2)))
+
+    def test_pairs_must_be_injective(self):
+        v = _convex(3)
+        with pytest.raises(ValueError, match="break injectivity"):
+            GameSolver().equiv(v, v, 1, pairs=((1, 1), (2, 1)))
 
     def test_rounds_must_be_nonnegative(self):
         v = _convex(1)
-        with pytest.raises(ValueError):
-            GameConfig(v, v, (), -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            GameSolver().equiv(v, v, -1, pairs=((1, 1),))
 
     def test_pinned_points_can_lose(self):
         a, b = _convex(2, 1), _convex(2, 1)
         # an E-related pair mapped onto a non-E pair is not a partial iso
         with pytest.raises(ValueError):
-            duplicator_wins(GameConfig(a, b, ((1, 1), (2, 3)), 1))
+            GameSolver().equiv(a, b, 1, pairs=((1, 1), (2, 3)))
         # consistent but doomed: 1 maps to 3 (class of two vs singleton)
-        cfg = GameConfig(a, b, ((1, 3),), 1)
-        assert not duplicator_wins(cfg)
+        assert not GameSolver().equiv(a, b, 1, pairs=((1, 3),))
+
+
+class TestBoardBound:
+    # the pair-code table of a board has size ** 2 cells, bounded by
+    # logic.MAX_EVALUATION_CELLS, patched low here: 10 points fit in 100
+
+    def test_ten_points_fit(self, monkeypatch):
+        monkeypatch.setattr(logic, "MAX_EVALUATION_CELLS", 100)
+        solver = GameSolver()
+        assert solver.equiv(_convex(10), _convex(9), 2)
+        assert solver.type_id(_convex(10), 2) == solver.type_id(_convex(9), 2)
+
+    def test_eleven_points_are_refused_before_the_table(self, monkeypatch):
+        monkeypatch.setattr(logic, "MAX_EVALUATION_CELLS", 100)
+
+        pair_codes = efgame._pair_codes
+
+        def small_tables_only(view):
+            assert view.size <= 10, "an 11-point pair-code table was built"
+            return pair_codes(view)
+
+        monkeypatch.setattr(efgame, "_pair_codes", small_tables_only)
+        big, small = _convex(11), _convex(1)
+        refused = "11 points needs 121 pair codes, over the bound of 100"
+        for search in (lambda: GameSolver().equiv(small, big, 1),
+                       lambda: GameSolver().equiv(big, big, 1, pairs=((1, 1),)),
+                       lambda: equiv_k(big, small, 1),
+                       lambda: GameSolver().type_id(big, 1)):
+            with pytest.raises(BudgetExceededError, match=refused) as err:
+                search()
+            assert err.value.nodes == 121
 
 
 class TestFastDecider:
@@ -285,7 +325,7 @@ class TestFastDecider:
 
     def test_against_generic_small(self):
         shapes = shapes_up_to(5)
-        solver = GameSolver(canonical_keys=False)
+        solver = GameSolver()
         for k in (1, 2, 3):
             for i, a in enumerate(shapes):
                 for b in shapes[i:]:
@@ -313,15 +353,14 @@ class TestFastDecider:
             for la in (False, True):
                 for ra in (False, True):
                     segments.append(MarkedSegment(shape.parts, la, ra))
-        solver = GameSolver(canonical_keys=False)
+        solver = GameSolver()
         for k in (1, 2, 3):
             for i, s in enumerate(segments):
                 for t in segments[i:]:
                     A, na = embed(s)
                     B, nb = embed(t)
-                    cfg = GameConfig(A, B, ((1, 1), (na, nb)), k)
                     try:
-                        value = solver.config_value(cfg)
+                        value = solver.equiv(A, B, k, pairs=((1, 1), (na, nb)))
                     except ValueError:
                         continue  # boundary relations differ: never aligned
                     assert value == fast_equiv_convex(s, t, k), (s, t, k)
