@@ -26,7 +26,7 @@ cross-check the other:
   their types are equal, by the Ehrenfeucht-Fraisse/Hintikka-type
   theorem).  Telling N structures apart then takes N types, not N(N-1)/2
   games, which is how the class chain is verified: on the depth-2 chain,
-  453 types in 4-6 ms against 13,353 search nodes in 45-76 ms (2-core
+  396 types in 4-6 ms against 13,353 search nodes in 45-76 ms (2-core
   host, Python 3.11).  ``equiv`` keeps its pair search, which stops at
   Spoiler's first winning move where a type enumerates every move of its
   side to full depth: linear orders of 20 and 40 points at k = 5 take
@@ -388,14 +388,21 @@ def _pair_codes(V: StructureView) -> tuple[tuple[int, ...], ...]:
     so ``table[p][p]`` is the one-point type of p.  Row 0 is unused, and
     ``table[p][0]`` repeats ``table[p][p]``: ``itemgetter(0, *played)``
     then reads p's whole atomic type over the played points.
+
+    A signature has at most three symbols, so a code fits in a byte: the
+    table is built as one ``uint8`` array, diagonal in column 0, and turned
+    into tuples a row at a time, so building it costs one byte per cell
+    beyond the tuples it returns.
     """
     points = np.arange(1, V.size + 1)
-    codes = np.zeros((V.size, V.size), dtype=np.int64)
+    codes = np.zeros((V.size, V.size + 1), dtype=np.uint8)
+    pairs = codes[:, 1:]
     for i, sym in enumerate(V.symbols):
-        forward = V.relation(sym, points[:, None], points).astype(np.int64)
-        codes |= forward << 2 * i | forward.T << 2 * i + 1
-    rows = np.column_stack((codes.diagonal(), codes)).tolist()
-    return ((), *map(tuple, rows))
+        forward = V.relation(sym, points[:, None], points).astype(np.uint8)
+        pairs |= forward << 2 * i
+        pairs |= forward.T << 2 * i + 1
+    codes[:, 0] = pairs.diagonal()
+    return ((), *(tuple(row.tolist()) for row in codes))
 
 
 def _one_round_value(A: _Board, B: _Board, pairs) -> bool:

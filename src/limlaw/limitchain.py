@@ -679,7 +679,7 @@ def verify_chain_states(chain: Chain, solver: GameSolver | None = None) -> None:
     so each representative is typed on its own side by
     :meth:`GameSolver.type_id`, not played against every other one.  The
     states are refined depth by depth: all of them start in one group, and
-    at r = 1..k each group is split by depth-r type and its singletons
+    at r = 2..k each group is split by depth-r type and its singletons
     dropped.  States told apart at r < k are inequivalent at k too, so they
     are never typed deeper; most states fall apart at shallow depths, where
     types are cheap, which makes this far cheaper than typing every state
@@ -690,7 +690,9 @@ def verify_chain_states(chain: Chain, solver: GameSolver | None = None) -> None:
     views = [as_relational("convex", st.representative.shape)
              for st in chain.states]
     groups = [list(range(len(views)))] if len(views) > 1 else []
-    for r in range(1, chain.k + 1):
+    # every point of a nonempty convex linear order has the same one-point
+    # type, so all of them share one depth-1 type: r = 1 never splits a group
+    for r in range(2, chain.k + 1):
         refined = []
         for group in groups:
             by_type: dict[int, list[int]] = {}

@@ -74,56 +74,74 @@ _RESERVED_WORDS = KEYWORDS | {s for s in RELATIONS if s.isidentifier()}
 # --- abstract syntax ---------------------------------------------------------
 #
 # Every node carries ``nesting``, the number of levels of the tree below it,
-# and ``free``, its free variables, both set when the node is built, so
-# checking a formula against MAX_NESTING or asking for its free variables
-# costs one attribute read however the formula was made.
+# ``depth``, its quantifier depth, ``free``, its free variables, and
+# ``symbols``, its relation symbols (``=`` excluded), all set when the node
+# is built, so checking a formula against MAX_NESTING or a signature, or
+# asking for its depth or free variables, costs one attribute read however
+# the formula was made.
+
+_FACTS = dict(init=False, repr=False, compare=False)
+
 
 @dataclass(frozen=True)
 class Atom:
     symbol: str
     left: str
     right: str
-    nesting = 0
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
+    nesting = depth = 0
+    free: frozenset[str] = field(**_FACTS)
+    symbols: frozenset[str] = field(**_FACTS)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "free", frozenset((self.left, self.right)))
+        object.__setattr__(self, "symbols", frozenset(
+            () if self.symbol == "=" else (self.symbol,)))
 
 
 @dataclass(frozen=True)
 class TrueFormula:
-    nesting = 0
-    free = frozenset()
+    nesting = depth = 0
+    free = symbols = frozenset()
 
 
 @dataclass(frozen=True)
 class FalseFormula:
-    nesting = 0
-    free = frozenset()
+    nesting = depth = 0
+    free = symbols = frozenset()
 
 
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
-    nesting: int = field(init=False, repr=False, compare=False)
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
+    nesting: int = field(**_FACTS)
+    depth: int = field(**_FACTS)
+    free: frozenset[str] = field(**_FACTS)
+    symbols: frozenset[str] = field(**_FACTS)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nesting", self.body.nesting + 1)
-        object.__setattr__(self, "free", self.body.free)
+        body = self.body
+        object.__setattr__(self, "nesting", body.nesting + 1)
+        object.__setattr__(self, "depth", body.depth)
+        object.__setattr__(self, "free", body.free)
+        object.__setattr__(self, "symbols", body.symbols)
 
 
 @dataclass(frozen=True)
 class _Binary:
     left: "Formula"
     right: "Formula"
-    nesting: int = field(init=False, repr=False, compare=False)
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
+    nesting: int = field(**_FACTS)
+    depth: int = field(**_FACTS)
+    free: frozenset[str] = field(**_FACTS)
+    symbols: frozenset[str] = field(**_FACTS)
 
     def __post_init__(self) -> None:
+        left, right = self.left, self.right
         object.__setattr__(self, "nesting",
-                           max(self.left.nesting, self.right.nesting) + 1)
-        object.__setattr__(self, "free", self.left.free | self.right.free)
+                           max(left.nesting, right.nesting) + 1)
+        object.__setattr__(self, "depth", max(left.depth, right.depth))
+        object.__setattr__(self, "free", left.free | right.free)
+        object.__setattr__(self, "symbols", left.symbols | right.symbols)
 
 
 @dataclass(frozen=True)
@@ -150,12 +168,17 @@ class Iff(_Binary):
 class _Quantifier:
     var: str
     body: "Formula"
-    nesting: int = field(init=False, repr=False, compare=False)
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
+    nesting: int = field(**_FACTS)
+    depth: int = field(**_FACTS)
+    free: frozenset[str] = field(**_FACTS)
+    symbols: frozenset[str] = field(**_FACTS)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nesting", self.body.nesting + 1)
-        object.__setattr__(self, "free", self.body.free - {self.var})
+        body = self.body
+        object.__setattr__(self, "nesting", body.nesting + 1)
+        object.__setattr__(self, "depth", body.depth + 1)
+        object.__setattr__(self, "free", body.free - {self.var})
+        object.__setattr__(self, "symbols", body.symbols)
 
 
 @dataclass(frozen=True)
@@ -410,19 +433,7 @@ def _subterm(f: Formula) -> str:
 def quantifier_depth(f: Formula) -> int:
     """Maximum nesting depth of quantifiers."""
     _check_nesting(f)
-    return _quantifier_depth(f)
-
-
-def _quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, TrueFormula, FalseFormula)):
-        return 0
-    if isinstance(f, Not):
-        return _quantifier_depth(f.body)
-    if isinstance(f, _Binary):
-        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
-    if isinstance(f, (Exists, Forall)):
-        return 1 + _quantifier_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return f.depth
 
 
 def free_variables(f: Formula) -> frozenset[str]:
@@ -431,17 +442,18 @@ def free_variables(f: Formula) -> frozenset[str]:
 
 def formula_symbols(f: Formula) -> frozenset[str]:
     """Relation symbols occurring in ``f`` (equality excluded)."""
-    if isinstance(f, Atom):
-        return frozenset() if f.symbol == "=" else frozenset({f.symbol})
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return frozenset()
-    if isinstance(f, Not):
-        return formula_symbols(f.body)
-    if isinstance(f, _Binary):
-        return formula_symbols(f.left) | formula_symbols(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return formula_symbols(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return f.symbols
+
+
+def check_signature(f: Formula, theory: str) -> None:
+    """Raise :class:`SignatureError` if ``f`` uses a relation symbol outside
+    the theory's signature, and ``ValueError`` on an unknown theory."""
+    if theory not in SIGNATURES:
+        raise ValueError(f"unknown theory {theory!r}")
+    foreign = f.symbols - SIGNATURES[theory].relations
+    if foreign:
+        raise SignatureError(
+            f"symbols {sorted(foreign)} not in the {theory} signature")
 
 
 def ensure_sentence(f: Formula) -> None:
@@ -588,7 +600,6 @@ class _Program:
     variables free at one node."""
 
     steps: tuple[tuple, ...]
-    symbols: frozenset[str]
     axes: int
     width: int
 
@@ -604,7 +615,6 @@ def _program(f: Formula) -> _Program:
 
 def _compile_program(f: Formula) -> _Program:
     steps = []
-    symbols = set()
     axes = width = 0
     # pre-order, right operand first; reversed, it is post-order
     work: list[tuple[Formula, dict[str, int]]] = [(f, {})]
@@ -612,7 +622,6 @@ def _compile_program(f: Formula) -> _Program:
         g, scope = work.pop()
         kind = type(g)
         if kind is Atom:
-            symbols.add(g.symbol)
             steps.append((_RELATION, g.symbol, scope.get(g.left, g.left),
                           scope.get(g.right, g.right)))
         elif kind is Not:
@@ -637,8 +646,7 @@ def _compile_program(f: Formula) -> _Program:
         else:
             raise TypeError(f"not a formula: {g!r}")
     steps.reverse()
-    symbols.discard("=")
-    return _Program(tuple(steps), frozenset(symbols), axes, width)
+    return _Program(tuple(steps), axes, width)
 
 
 def evaluation_cells(f: Formula, size: int) -> int:
@@ -658,14 +666,6 @@ def _check_cells(f: Formula, size: int) -> int:
             f"evaluating needs {cells} cells for one node on a structure of "
             f"size {size}, over the bound of {MAX_EVALUATION_CELLS}", cells)
     return cells
-
-
-def _check_symbols(program: _Program, signature: frozenset[str],
-                   theory: str) -> None:
-    if not program.symbols <= signature:
-        foreign = program.symbols - signature
-        raise SignatureError(
-            f"symbols {sorted(foreign)} not in the {theory} signature")
 
 
 def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
@@ -692,7 +692,7 @@ def evaluate(struct, f: Formula, env: dict[str, int] | None = None) -> bool:
                 raise EvaluationError(
                     f"{name} = {env[name]} is not a point of a structure of "
                     f"size {n}")
-    _check_symbols(program, struct.signature, struct.theory)
+    check_signature(f, struct.theory)
     _check_cells(f, n)
     free = {name: env[name] for name in f.free}
     return bool(_run(program, n, struct.relation, free, batched=False))
@@ -712,10 +712,8 @@ def batch_rows(theory: str, f: Formula, size: int) -> int:
     the theory's signature, and :class:`BudgetExceededError` if not even
     one structure fits.
     """
-    if theory not in SIGNATURES:
-        raise ValueError(f"unknown theory {theory!r}")
+    check_signature(f, theory)
     ensure_sentence(f)
-    _check_symbols(_program(f), SIGNATURES[theory].relations, theory)
     return max(1, MAX_EVALUATION_CELLS // _structure_cells(f, size))
 
 
@@ -815,81 +813,44 @@ def _run(program: _Program, size: int, relation, free: dict[str, int], *,
     return pop()
 
 
-# --- atomic rewritings between theories --------------------------------------
+# --- translation into the convex language ------------------------------------
 
-def _rewrite_atoms(f: Formula, table) -> Formula:
-    """``f`` with every atom but equality replaced by ``table(atom)``."""
-    if isinstance(f, Atom):
-        return f if f.symbol == "=" else table(f)
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return f
-    if isinstance(f, Not):
-        return Not(_rewrite_atoms(f.body, table))
-    if isinstance(f, _Binary):
-        return type(f)(_rewrite_atoms(f.left, table),
-                       _rewrite_atoms(f.right, table))
-    if isinstance(f, Exists):
-        return Exists(f.var, _rewrite_atoms(f.body, table))
-    if isinstance(f, Forall):
-        return Forall(f.var, _rewrite_atoms(f.body, table))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def translate_layered(f: Formula) -> Formula:
-    """Rewrite a {<1, <2} formula into the {<, E} language.
-
-    ``a <1 b`` becomes ``a < b``; ``a <2 b`` becomes
-    ``(a E b & b < a) | (!(a E b) & a < b)``.  Quantifier depth is
-    preserved — the replacements are quantifier-free.
-    """
-    def table(atom: Atom) -> Formula:
-        a, b = atom.left, atom.right
-        if atom.symbol == "<1":
-            return Atom("<", a, b)
-        if atom.symbol == "<2":
-            return Or(And(Atom("E", a, b), Atom("<", b, a)),
-                      And(Not(Atom("E", a, b)), Atom("<", a, b)))
-        raise SignatureError(
-            f"relation {atom.symbol!r} is not in the layered signature")
-
-    _check_nesting(f)
-    return _rewrite_atoms(f, table)
-
-
-def translate_composition(f: Formula) -> Formula:
-    """Rewrite a {E, p1} formula (p2 also accepted, for fractured-order
-    input) into the {<, E} language.
-
-    ``a p1 b`` becomes ``!(a E b) & a < b``; ``a p2 b`` becomes
-    ``a E b & a < b``; ``E`` atoms are unchanged.
-    """
-    def table(atom: Atom) -> Formula:
-        a, b = atom.left, atom.right
-        if atom.symbol == "E":
-            return atom
-        if atom.symbol == "p1":
-            return And(Not(Atom("E", a, b)), Atom("<", a, b))
-        if atom.symbol == "p2":
-            return And(Atom("E", a, b), Atom("<", a, b))
-        raise SignatureError(
-            f"relation {atom.symbol!r} is not in the composition/fractured "
-            f"signature")
-
-    _check_nesting(f)
-    return _rewrite_atoms(f, table)
+#: The definition in the convex language ``{<, E}`` of every relation
+#: symbol outside it, as a formula over the atom's two names.  Each is
+#: quantifier-free, so translating keeps quantifier depth, and each agrees
+#: with the symbol's definition in :data:`~limlaw.structures.RELATIONS`
+#: read on the convex view of the same shape.
+_CONVEX_DEFINITIONS = {
+    "<1": lambda a, b: Atom("<", a, b),
+    # within a block <2 reverses <1; across blocks they agree
+    "<2": lambda a, b: Or(And(Atom("E", a, b), Atom("<", b, a)),
+                          And(Not(Atom("E", a, b)), Atom("<", a, b))),
+    "p1": lambda a, b: And(Not(Atom("E", a, b)), Atom("<", a, b)),
+    "p2": lambda a, b: And(Atom("E", a, b), Atom("<", a, b)),
+}
 
 
 def translate_to_convex(theory: str, f: Formula) -> Formula:
-    """Translate a sentence of any supported theory into the convex language."""
-    if theory == "convex":
-        _check_nesting(f)
-        foreign = formula_symbols(f) - SIGNATURES["convex"].relations
-        if foreign:
-            raise SignatureError(
-                f"symbols {sorted(foreign)} not in the convex signature")
+    """Rewrite a formula of the theory into the convex language: each atom
+    on a symbol of :data:`_CONVEX_DEFINITIONS` becomes its definition.
+
+    Raises :class:`SignatureError` if ``f`` uses a symbol outside the
+    theory's signature.  A subtree with no such atom is returned as it is,
+    so a convex formula comes back as the same object.
+    """
+    _check_nesting(f)
+    check_signature(f, theory)
+    return _to_convex(f)
+
+
+def _to_convex(f: Formula) -> Formula:
+    if f.symbols <= SIGNATURES["convex"].relations:
         return f
-    if theory == "layered":
-        return translate_layered(f)
-    if theory in ("composition", "fractured"):
-        return translate_composition(f)
-    raise ValueError(f"unknown theory {theory!r}")
+    kind = type(f)
+    if kind is Atom:
+        return _CONVEX_DEFINITIONS[f.symbol](f.left, f.right)
+    if kind is Not:
+        return Not(_to_convex(f.body))
+    if kind in _BINARY_OPS:
+        return kind(_to_convex(f.left), _to_convex(f.right))
+    return kind(f.var, _to_convex(f.body))

@@ -58,11 +58,10 @@ from .logic import (
     Implies,
     Not,
     Or,
-    SIGNATURES,
     SignatureError,
     TrueFormula,
+    check_signature,
     ensure_sentence,
-    formula_symbols,
 )
 
 @dataclass(frozen=True)
@@ -372,10 +371,7 @@ class StepAutomaton:
 def compile_sentence(f: Formula) -> StepAutomaton:
     """Compile a closed convex-language sentence to its step automaton."""
     ensure_sentence(f)
-    foreign = formula_symbols(f) - SIGNATURES["convex"].relations
-    if foreign:
-        raise SignatureError(
-            f"symbols {sorted(foreign)} not in the convex signature")
+    check_signature(f, "convex")
     dfa = _compile(f)
     if dfa.variables:
         raise SignatureError("sentence compiled with leftover free tracks")

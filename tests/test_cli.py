@@ -335,14 +335,14 @@ class TestStates:
                 "--verify, on the game types the solver computes") in help_text
 
     def test_budget_bounds_the_verify_types(self, capsys):
-        # the depth-2 chain has 57 states and its check computes 453 types
+        # the depth-2 chain has 57 states and its check computes 396 types
         code, out, _ = run_cli(capsys, "states", "--k", "2", "--verify",
-                               "--budget", "453")
+                               "--budget", "396")
         assert code == 0 and "states: 57" in out
         code, _, err = run_cli(capsys, "states", "--k", "2", "--verify",
-                               "--budget", "452")
+                               "--budget", "395")
         assert code == 3
-        assert "after 453 nodes typing convex" in err
+        assert "after 396 nodes typing convex" in err
 
     def test_bad_k_and_budget_exit_2(self, capsys):
         assert_usage_error(capsys, "states", "--k", "-1", option="--k")

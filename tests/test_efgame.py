@@ -513,7 +513,7 @@ def test_game_search_work_is_pinned():
     # one node per game type, depth by depth
     solver = GameSolver()
     verify_chain_states(build_chain(2), solver)
-    assert solver.nodes == 453
+    assert solver.nodes == 396
     a, b = PartSequence((2, 1, 3)), PartSequence((3, 1, 2))
     for theory, nodes in (("convex", 20), ("layered", 20),
                           ("composition", 48), ("fractured", 20)):

@@ -544,7 +544,8 @@ class TestVerification:
     def test_equivalent_states_survive_to_depth_k(self):
         # linear orders of 7 and 8 points agree up to depth 3; 1,1 and 2 are
         # told apart from them and from each other at depth 2, so only the
-        # two linear orders are typed at depth 3
+        # two linear orders are typed at depth 3.  Depth 1 is never typed:
+        # all nonempty convex linear orders share one depth-1 type
         shapes = ((1,) * 7, (1, 1), (1,) * 8, (2,))
         states = tuple(ChainState(i, ConvexLinearOrder(PartSequence(parts)),
                                   None, i, i)
@@ -555,7 +556,7 @@ class TestVerification:
                                  r"2 \(1,1,1,1,1,1,1,1\) .* depth 3"):
             verify_chain_states(Chain(k=3, states=states, start=0), solver)
         names = [",".join(map(str, parts)) for parts in shapes]
-        assert solver.log == [(name, r) for r in (1, 2) for name in names] \
+        assert solver.log == [(name, 2) for name in names] \
             + [(names[0], 3), (names[2], 3)]
 
     def test_states_told_apart_are_not_typed_deeper(self):
@@ -565,7 +566,7 @@ class TestVerification:
         solver = _TypeLog()
         verify_chain_states(Chain(k=3, states=states, start=0), solver)
         names = [str(s.representative.shape) for s in states]
-        assert solver.log == [(name, r) for r in (1, 2) for name in names]
+        assert solver.log == [(name, 2) for name in names]
 
     def test_one_state_and_depth_zero_chains(self):
         one = ChainState(0, ConvexLinearOrder(PartSequence((2,))), None, 0, 0)
@@ -576,6 +577,11 @@ class TestVerification:
         with pytest.raises(InternalVerificationError,
                            match=r"states 0 \(2\) and 1 \(1,1\) .* depth 0"):
             verify_chain_states(Chain(k=0, states=two, start=0), solver)
+        # two states are never told apart at depth 1, where every nonempty
+        # convex linear order has the same type
+        with pytest.raises(InternalVerificationError,
+                           match=r"states 0 \(2\) and 1 \(1,1\) .* depth 1"):
+            verify_chain_states(Chain(k=1, states=two, start=0), solver)
         assert solver.log == []
 
 

@@ -37,11 +37,10 @@ from limlaw.logic import (
     miniscope,
     parse,
     quantifier_depth,
-    translate_composition,
-    translate_layered,
     translate_to_convex,
 )
 from limlaw.structures import (
+    RELATIONS,
     THEORIES,
     PartSequence,
     as_relational,
@@ -106,10 +105,10 @@ class TestParser:
             body = And(body, Atom("=", "x", "x"))
         f = Exists("x", body)
         view = as_relational("convex", PartSequence((1,)))
+        translations = [lambda g, t=t: translate_to_convex(t, g)
+                        for t in THEORIES]
         for entry_point in (quantifier_depth, format_formula, ensure_sentence,
-                            lambda g: evaluate(view, g), translate_layered,
-                            translate_composition,
-                            lambda g: translate_to_convex("convex", g),
+                            lambda g: evaluate(view, g), *translations,
                             compile_sentence,
                             lambda g: analyze_limit("convex", g)):
             with pytest.raises(FormulaSyntaxError, match="deeper than"):
@@ -147,29 +146,32 @@ class TestParser:
             ensure_sentence(f)
 
 
-def _random_formula(rng, variables, depth):
+_ALL_SYMBOLS = ("<", "E", "<1", "<2", "p1", "p2")
+
+
+def _random_formula(rng, variables, depth, symbols=_ALL_SYMBOLS):
     kind = rng.randrange(10 if depth > 0 else 4)
     bound = [v for v in variables if v is not None]
     if kind == 0:
         return TRUE if rng.random() < 0.5 else FALSE
     if kind in (1, 2) and len(bound) >= 1:
         a, b = rng.choice(bound), rng.choice(bound)
-        sym = rng.choice(["<", "E", "<1", "<2", "p1", "p2"])
-        return Atom(sym, a, b)
+        return Atom(rng.choice(symbols), a, b)
     if kind == 3 and bound:
         return Atom("=", rng.choice(bound), rng.choice(bound))
     if kind == 4:
-        return Not(_random_formula(rng, variables, depth - 1))
+        return Not(_random_formula(rng, variables, depth - 1, symbols))
     if kind in (5, 6, 7):
         op = {5: And, 6: Or, 7: Implies}[kind]
-        return op(_random_formula(rng, variables, depth - 1),
-                  _random_formula(rng, variables, depth - 1))
+        return op(_random_formula(rng, variables, depth - 1, symbols),
+                  _random_formula(rng, variables, depth - 1, symbols))
     if kind == 8:
-        return Iff(_random_formula(rng, variables, depth - 1),
-                   _random_formula(rng, variables, depth - 1))
+        return Iff(_random_formula(rng, variables, depth - 1, symbols),
+                   _random_formula(rng, variables, depth - 1, symbols))
     var = rng.choice(["x", "y", "z", "w"])  # shadowing allowed
     quant = Exists if rng.random() < 0.5 else Forall
-    return quant(var, _random_formula(rng, variables + [var], depth - 1))
+    return quant(var, _random_formula(rng, variables + [var], depth - 1,
+                                      symbols))
 
 
 class TestPrinter:
@@ -213,6 +215,44 @@ class TestQuantifierDepth:
     def test_binary_takes_max(self):
         f = parse("(exists x. x = x) & (exists x. exists y. x < y)")
         assert quantifier_depth(f) == 2
+
+
+def _recomputed_facts(f):
+    """``(depth, symbols)`` of ``f`` by plain recursion; asserts that every
+    node below ``f`` carries the facts recomputed for it."""
+    if isinstance(f, Atom):
+        facts = (0, frozenset() if f.symbol == "=" else {f.symbol})
+    elif f in (TRUE, FALSE):
+        facts = (0, frozenset())
+    elif isinstance(f, Not):
+        facts = _recomputed_facts(f.body)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        (dl, sl), (dr, sr) = _recomputed_facts(f.left), \
+            _recomputed_facts(f.right)
+        facts = (max(dl, dr), sl | sr)
+    else:
+        depth, symbols = _recomputed_facts(f.body)
+        facts = (depth + 1, symbols)
+    assert (f.depth, f.symbols) == facts, format_formula(f)
+    return facts
+
+
+class TestNodeFacts:
+    def test_depth_and_symbols_match_a_recomputation(self):
+        # random ASTs in every theory's signature and in all symbols at
+        # once, with the nodes miniscope and translate_to_convex build
+        rng = random.Random(31)
+        signatures = [_ALL_SYMBOLS] + [sorted(SIGNATURES[t].relations)
+                                       for t in THEORIES]
+        for _ in range(100):
+            for theory, symbols in zip((None, *THEORIES), signatures):
+                f = _random_formula(rng, [], 5, symbols)
+                depth, found = _recomputed_facts(f)
+                assert quantifier_depth(f) == depth
+                assert formula_symbols(f) == found
+                _recomputed_facts(miniscope(f))
+                if theory is not None:
+                    _recomputed_facts(translate_to_convex(theory, f))
 
 
 class TestEvaluate:
@@ -552,26 +592,36 @@ class TestBatchEvaluation:
 
 class TestTranslations:
     def test_layered_atom_rules_verbatim(self):
-        lt2 = translate_layered(Atom("<2", "a", "b"))
+        lt2 = translate_to_convex("layered", Atom("<2", "a", "b"))
         assert lt2 == Or(And(Atom("E", "a", "b"), Atom("<", "b", "a")),
                          And(Not(Atom("E", "a", "b")), Atom("<", "a", "b")))
-        assert translate_layered(Atom("<1", "a", "b")) == Atom("<", "a", "b")
+        assert translate_to_convex("layered", Atom("<1", "a", "b")) == \
+            Atom("<", "a", "b")
 
     def test_composition_atom_rules(self):
-        assert translate_composition(Atom("p1", "a", "b")) == \
-            And(Not(Atom("E", "a", "b")), Atom("<", "a", "b"))
-        assert translate_composition(Atom("p2", "a", "b")) == \
+        for theory in ("composition", "fractured"):
+            assert translate_to_convex(theory, Atom("p1", "a", "b")) == \
+                And(Not(Atom("E", "a", "b")), Atom("<", "a", "b"))
+            e = Atom("E", "a", "b")
+            assert translate_to_convex(theory, e) is e
+        assert translate_to_convex("fractured", Atom("p2", "a", "b")) == \
             And(Atom("E", "a", "b"), Atom("<", "a", "b"))
-        e = Atom("E", "a", "b")
-        assert translate_composition(e) == e
+
+    def test_convex_formulas_come_back_as_they_are(self):
+        f = parse("exists x. exists y. (x E y & !(x = y))")
+        for theory in ("convex", "composition", "fractured"):
+            assert translate_to_convex(theory, f) is f
+        # a subtree with no atom to rewrite is kept by the rewrite too
+        g = And(f, Exists("x", Exists("y", Atom("p1", "x", "y"))))
+        assert translate_to_convex("composition", g).left is f
 
     def test_foreign_symbols_rejected(self):
-        with pytest.raises(SignatureError):
-            translate_layered(Atom("E", "a", "b"))
-        with pytest.raises(SignatureError):
-            translate_composition(Atom("<1", "a", "b"))
-        with pytest.raises(SignatureError):
-            translate_to_convex("convex", Atom("p1", "a", "b"))
+        for theory, symbol in (("layered", "E"), ("composition", "<1"),
+                               ("composition", "p2"), ("convex", "p1")):
+            with pytest.raises(SignatureError):
+                translate_to_convex(theory, Atom(symbol, "a", "b"))
+        with pytest.raises(ValueError, match="unknown theory"):
+            translate_to_convex("cyclic", TRUE)
 
     def test_depth_preserved_on_battery(self):
         for entry in BATTERY:
@@ -584,15 +634,30 @@ class TestTranslations:
         done = 0
         while done < 500:
             f = _random_formula(rng, [], 4)
-            syms = formula_symbols(f)
-            if syms <= {"<1", "<2"}:
-                assert quantifier_depth(translate_layered(f)) == \
+            theories = [t for t in THEORIES
+                        if formula_symbols(f) <= SIGNATURES[t].relations]
+            for theory in theories:
+                assert quantifier_depth(translate_to_convex(theory, f)) == \
                     quantifier_depth(f)
-                done += 1
-            elif syms <= {"E", "p1", "p2"}:
-                assert quantifier_depth(translate_composition(f)) == \
-                    quantifier_depth(f)
-                done += 1
+            done += bool(theories)
+
+    @pytest.mark.parametrize("theory", THEORIES)
+    def test_each_definition_matches_the_native_relation(self, theory):
+        # the two tables of definitions, RELATIONS on the theory's own view
+        # and the translation read on the convex view, agree on every point
+        # pair of every shape
+        for symbol in sorted(SIGNATURES[theory].relations):
+            defined = translate_to_convex(theory, Atom(symbol, "a", "b"))
+            assert defined.symbols <= {"<", "E"}
+            for shape in shapes_up_to(6):
+                native = as_relational(theory, shape)
+                convex = as_relational("convex", shape)
+                for a in native.points():
+                    for b in native.points():
+                        assert native.holds(symbol, a, b) == \
+                            recursive_evaluate(convex, defined,
+                                               {"a": a, "b": b}), \
+                            (symbol, str(shape), a, b)
 
     def test_translated_descent_means_nontrivial_class(self):
         descent = translate_to_convex(
@@ -603,23 +668,39 @@ class TestTranslations:
             assert evaluate(v, descent) == evaluate(v, nontrivial)
 
     @pytest.mark.parametrize("entry",
-                             [e for e in BATTERY if e.theory == "layered"])
-    def test_transfer_layered(self, entry):
-        f = parse(entry.text, SIGNATURES["layered"])
-        g = translate_layered(f)
+                             [e for e in BATTERY if e.theory != "convex"],
+                             ids=lambda e: e.name)
+    def test_transfer(self, entry):
+        f = parse(entry.text, SIGNATURES[entry.theory])
+        g = translate_to_convex(entry.theory, f)
         for shape in shapes_up_to(6):
-            assert evaluate(as_relational("layered", shape), f) == \
+            assert evaluate(as_relational(entry.theory, shape), f) == \
                 evaluate(as_relational("convex", shape), g)
 
-    @pytest.mark.parametrize("entry",
-                             [e for e in BATTERY if e.theory == "composition"])
-    def test_transfer_composition(self, entry):
-        f = parse(entry.text, SIGNATURES["composition"])
-        g = translate_composition(f)
-        for shape in shapes_up_to(6):
-            assert evaluate(as_relational("composition", shape), f) == \
-                evaluate(as_relational("convex", shape), g)
 
+def _foreign_cases():
+    """Every theory with every relation symbol outside its signature."""
+    return [(theory, symbol) for theory in THEORIES
+            for symbol in sorted(RELATIONS)
+            if symbol != "=" and symbol not in SIGNATURES[theory].relations]
+
+
+class TestSignatureChecks:
+    @pytest.mark.parametrize("theory, symbol", _foreign_cases())
+    def test_every_route_rejects_a_foreign_symbol(self, theory, symbol):
+        # built in code, so no parser checks the signature first
+        from limlaw.limitchain import analyze_limit, estimate_probability
+
+        f = Exists("x", Exists("y", Atom(symbol, "x", "y")))
+        view = as_relational(theory, PartSequence((2, 1)))
+        for route in (lambda: translate_to_convex(theory, f),
+                      lambda: analyze_limit(theory, f),
+                      lambda: estimate_probability(theory, f, 4, 8, 0),
+                      lambda: estimate_probability(theory, f, 4, 8, 0,
+                                                   method="direct"),
+                      lambda: evaluate(view, f)):
+            with pytest.raises(SignatureError, match=repr(symbol)):
+                route()
 
 class _RelabeledView:
     """A composition view with points renamed within their classes."""
