@@ -34,6 +34,16 @@ constant, and a projected state drops its placed runs in a dead sink and is
 the accepting constant once one is in an accepting sink.  Both keep the
 language on every word, so the minimal automaton is the same.
 
+A sentence compiles each shape of subformula once.  Two subformulas have
+one shape when an order-preserving renaming of their free variables takes
+one to the other, as when a translation or miniscoping repeats a
+subformula under new names.  Sharing is sound because a minimal automaton
+numbered this way depends only on its language over the sorted tracks, and
+an order-preserving renaming keeps the order of the tracks: the automaton
+of a shape's first node, read under another node's names, is the one that
+node would compile to.  The memo of shapes belongs to one
+``compile_sentence`` call and is dropped when it returns.
+
 The resulting minimal automaton, read with fair-coin transitions, is a
 quotient of the class chain for the sentence's quantifier depth:
 equivalent construction prefixes always reach the same state (appending
@@ -327,32 +337,69 @@ def _exists(var: str, body: _DFA) -> _DFA:
     return _minimize(_DFA(variables, 0, accept, rows, column))
 
 
-def _compile(f: Formula) -> _DFA:
-    if isinstance(f, TrueFormula):
-        return _const((), True)
-    if isinstance(f, FalseFormula):
-        return _const((), False)
-    if isinstance(f, Atom):
-        return _atom(f)
-    if isinstance(f, Not):
-        return _complement(_compile(f.body))
-    if isinstance(f, And):
-        return _product(_compile(f.left), _compile(f.right),
-                        lambda p, q: p and q)
-    if isinstance(f, Or):
-        return _product(_compile(f.left), _compile(f.right),
-                        lambda p, q: p or q)
-    if isinstance(f, Implies):
-        return _product(_compile(f.left), _compile(f.right),
-                        lambda p, q: (not p) or q)
-    if isinstance(f, Iff):
-        return _product(_compile(f.left), _compile(f.right),
-                        lambda p, q: p == q)
-    if isinstance(f, Exists):
-        return _exists(f.var, _compile(f.body))
-    if isinstance(f, Forall):
-        return _complement(_exists(f.var, _complement(_compile(f.body))))
-    raise TypeError(f"not a formula: {f!r}")
+def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
+    """The shape id and the automaton of ``f``.
+
+    A node's key is its kind, its children's shape ids and where their
+    tracks sit among its own, so nodes with equal keys have one shape.
+    ``memo`` maps each key to its shape id and the automaton of the first
+    node that had it, which a later node of the shape takes under its own
+    variable names."""
+    kind = type(f)
+    if kind is Atom:
+        x, y = f.left, f.right
+        key = (f.symbol, x < y, x == y)
+        variables = (x,) if x == y else (x, y) if x < y else (y, x)
+    elif kind is Not:
+        body_id, body = _compile(f.body, memo)
+        key = (Not, body_id)
+        variables = body.variables
+    elif kind is Exists or kind is Forall:
+        body_id, body = _compile(f.body, memo)
+        variables = body.variables
+        # None, not False, for a vacuous quantifier: False == 0 would
+        # collide with a quantifier over the first track
+        i = variables.index(f.var) if f.var in variables else None
+        key = (kind, body_id, i)
+        if i is not None:
+            variables = variables[:i] + variables[i + 1:]
+    elif kind is TrueFormula or kind is FalseFormula:
+        key = (kind,)
+        variables = ()
+    elif kind is And or kind is Or or kind is Implies or kind is Iff:
+        left_id, a = _compile(f.left, memo)
+        right_id, b = _compile(f.right, memo)
+        variables = tuple(sorted(f.free))
+        place = variables.index
+        key = (kind, left_id, right_id, *map(place, a.variables), None,
+               *map(place, b.variables))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    hit = memo.get(key)
+    if hit is not None:
+        shape, dfa = hit
+        return shape, _DFA(variables, dfa.start, dfa.accept, dfa.trans,
+                           dfa.column)
+    if kind is Atom:
+        dfa = _atom(f)
+    elif kind is Not:
+        dfa = _complement(body)
+    elif kind is Exists:
+        dfa = _exists(f.var, body)
+    elif kind is Forall:
+        dfa = _complement(_exists(f.var, _complement(body)))
+    elif kind is TrueFormula or kind is FalseFormula:
+        dfa = _const((), kind is TrueFormula)
+    elif kind is And:
+        dfa = _product(a, b, lambda p, q: p and q)
+    elif kind is Or:
+        dfa = _product(a, b, lambda p, q: p or q)
+    elif kind is Implies:
+        dfa = _product(a, b, lambda p, q: (not p) or q)
+    else:
+        dfa = _product(a, b, lambda p, q: p == q)
+    entry = memo[key] = (len(memo), dfa)
+    return entry
 
 
 @dataclass(frozen=True)
@@ -372,7 +419,7 @@ def compile_sentence(f: Formula) -> StepAutomaton:
     """Compile a closed convex-language sentence to its step automaton."""
     ensure_sentence(f)
     check_signature(f, "convex")
-    dfa = _compile(f)
+    _, dfa = _compile(f, {})
     if dfa.variables:
         raise SignatureError("sentence compiled with leftover free tracks")
     # a word ends with the end marker at the last point; acceptance of a bit

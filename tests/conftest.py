@@ -17,12 +17,14 @@ from limlaw.logic import (
     And,
     Atom,
     Exists,
+    FALSE,
     FalseFormula,
     Forall,
     Iff,
     Implies,
     Not,
     Or,
+    TRUE,
     TrueFormula,
 )
 from limlaw.structures import PartSequence, enumerate_shapes
@@ -71,6 +73,38 @@ def recursive_evaluate(struct, f, env=None) -> bool:
         raise TypeError(f"not a formula: {g!r}")
 
     return rec(f)
+
+
+ALL_SYMBOLS = ("<", "E", "<1", "<2", "p1", "p2")
+
+
+def random_formula(rng, variables, depth, symbols=ALL_SYMBOLS):
+    """A random formula at most ``depth`` levels deep whose atoms name only
+    the variables bound above it (``variables``), so it is closed when
+    ``variables`` is empty.  Quantifiers may shadow a bound name or bind a
+    name their body does not use."""
+    kind = rng.randrange(10 if depth > 0 else 4)
+    bound = [v for v in variables if v is not None]
+    if kind == 0:
+        return TRUE if rng.random() < 0.5 else FALSE
+    if kind in (1, 2) and len(bound) >= 1:
+        a, b = rng.choice(bound), rng.choice(bound)
+        return Atom(rng.choice(symbols), a, b)
+    if kind == 3 and bound:
+        return Atom("=", rng.choice(bound), rng.choice(bound))
+    if kind == 4:
+        return Not(random_formula(rng, variables, depth - 1, symbols))
+    if kind in (5, 6, 7):
+        op = {5: And, 6: Or, 7: Implies}[kind]
+        return op(random_formula(rng, variables, depth - 1, symbols),
+                  random_formula(rng, variables, depth - 1, symbols))
+    if kind == 8:
+        return Iff(random_formula(rng, variables, depth - 1, symbols),
+                   random_formula(rng, variables, depth - 1, symbols))
+    var = rng.choice(["x", "y", "z", "w"])  # shadowing allowed
+    quant = Exists if rng.random() < 0.5 else Forall
+    return quant(var, random_formula(rng, variables + [var], depth - 1,
+                                     symbols))
 
 
 def _load_closed_form_sentences():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form, recursive_evaluate, shapes_up_to
+from conftest import (
+    ALL_SYMBOLS,
+    closed_form,
+    random_formula,
+    recursive_evaluate,
+    shapes_up_to,
+)
 from limlaw.battery import BATTERY
 from limlaw.logic import (
     MAX_EVALUATION_CELLS,
@@ -146,40 +152,12 @@ class TestParser:
             ensure_sentence(f)
 
 
-_ALL_SYMBOLS = ("<", "E", "<1", "<2", "p1", "p2")
-
-
-def _random_formula(rng, variables, depth, symbols=_ALL_SYMBOLS):
-    kind = rng.randrange(10 if depth > 0 else 4)
-    bound = [v for v in variables if v is not None]
-    if kind == 0:
-        return TRUE if rng.random() < 0.5 else FALSE
-    if kind in (1, 2) and len(bound) >= 1:
-        a, b = rng.choice(bound), rng.choice(bound)
-        return Atom(rng.choice(symbols), a, b)
-    if kind == 3 and bound:
-        return Atom("=", rng.choice(bound), rng.choice(bound))
-    if kind == 4:
-        return Not(_random_formula(rng, variables, depth - 1, symbols))
-    if kind in (5, 6, 7):
-        op = {5: And, 6: Or, 7: Implies}[kind]
-        return op(_random_formula(rng, variables, depth - 1, symbols),
-                  _random_formula(rng, variables, depth - 1, symbols))
-    if kind == 8:
-        return Iff(_random_formula(rng, variables, depth - 1, symbols),
-                   _random_formula(rng, variables, depth - 1, symbols))
-    var = rng.choice(["x", "y", "z", "w"])  # shadowing allowed
-    quant = Exists if rng.random() < 0.5 else Forall
-    return quant(var, _random_formula(rng, variables + [var], depth - 1,
-                                      symbols))
-
-
 class TestPrinter:
     def test_round_trip_500_random_asts(self):
         rng = random.Random(99)
         done = 0
         while done < 500:
-            f = _random_formula(rng, [], 4)
+            f = random_formula(rng, [], 4)
             if free_variables(f):
                 continue
             assert parse(format_formula(f)) == f
@@ -242,11 +220,11 @@ class TestNodeFacts:
         # random ASTs in every theory's signature and in all symbols at
         # once, with the nodes miniscope and translate_to_convex build
         rng = random.Random(31)
-        signatures = [_ALL_SYMBOLS] + [sorted(SIGNATURES[t].relations)
-                                       for t in THEORIES]
+        signatures = [ALL_SYMBOLS] + [sorted(SIGNATURES[t].relations)
+                                      for t in THEORIES]
         for _ in range(100):
             for theory, symbols in zip((None, *THEORIES), signatures):
-                f = _random_formula(rng, [], 5, symbols)
+                f = random_formula(rng, [], 5, symbols)
                 depth, found = _recomputed_facts(f)
                 assert quantifier_depth(f) == depth
                 assert formula_symbols(f) == found
@@ -633,7 +611,7 @@ class TestTranslations:
         rng = random.Random(7)
         done = 0
         while done < 500:
-            f = _random_formula(rng, [], 4)
+            f = random_formula(rng, [], 4)
             theories = [t for t in THEORIES
                         if formula_symbols(f) <= SIGNATURES[t].relations]
             for theory in theories:
