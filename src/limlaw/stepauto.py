@@ -5,21 +5,22 @@ the steps as a word whose positions are the points (with an end marker for
 the last point), point order is position order and two points are
 class-equivalent exactly when every step strictly between them grows the
 last class.  Every sentence therefore defines a regular language of step
-strings: atoms compile to two-track automata of at most four states
-(built once per symbol and order of the two names), connectives to
-products and complements, quantifiers to projection followed by subset
-construction, with eager minimization throughout.
+strings: quantifier-free subformulas over at most two names compile to a
+table entry, other connectives to products and complements, quantifiers
+to projection followed by subset construction, with eager minimization
+throughout.
 
 Letters are integers.  Over the sorted free variables ``v_0 < v_1 < ...``,
 letter ``l`` has step bit ``l >> len(variables)`` (0 starts a new class
 after this point, 1 grows the last class, 2 marks the last point) and
 marks ``v_i`` at this point when bit ``i`` of ``l`` is set; the alphabet is
-``range(3 << len(variables))``.  Most letters act alike: an atom reads only
-the step bit and its own two tracks, so its ``3 << k`` letters over k
-variables show at most 12 behaviours.  An automaton therefore stores
-columns: ``column`` maps each letter to a column, numbered in order of its
-first letter, and the transition table is a tuple of rows, one per state,
-each a tuple of successors indexed by column.  Products pair columns,
+``range(3 << len(variables))``.  Most letters act alike: a two-name
+subformula reads only the step bit and its own two tracks, so its
+``3 << k`` letters over k variables show at most 12 behaviours.  An
+automaton therefore stores columns: ``column`` maps each letter to a
+column, numbered in order of its first letter, and the transition table is
+a tuple of rows, one per state, each a tuple of successors indexed by
+column.  Products pair columns,
 projection pairs a letter's unmarked and marked columns, and minimization
 merges columns that act alike, so the work of a stage grows with the
 distinct behaviours of its letters, not with the alphabet.
@@ -33,6 +34,19 @@ component whose acceptance decides the connective is that connective's
 constant, and a projected state drops its placed runs in a dead sink and is
 the accepting constant once one is in an accepting sink.  Both keep the
 language on every word, so the minimal automaton is the same.
+
+A quantifier-free formula over two names a < b is decided by the type of
+the pair of points they name: a before b in one class or in two, a = b, b
+before a in one class or in two.  Its mask, the set of types at which it
+holds, is computed in one pass over its connectives (an atom's mask comes
+from the relation's definition, ``!`` complements it, ``&`` intersects,
+and so on), and its automaton is the entry for that mask in a table of
+the 30 masks that are not constant, built once at import from one step
+rule and minimized.  A table automaton may differ from the product of the
+formula's atoms on a word that marks a name twice or never.  No stage can
+see that: every quantifier places its mark exactly once and only the
+closed automaton is read, so each stage need only be right on words that
+mark each of its free names once, and there the two agree.
 
 A sentence compiles each shape of subformula once.  Two subformulas have
 one shape when an order-preserving renaming of their free variables takes
@@ -73,6 +87,7 @@ from .logic import (
     check_signature,
     ensure_sentence,
 )
+from .structures import RELATION_SYMBOLS, RELATIONS
 
 @dataclass(frozen=True)
 class _DFA:
@@ -91,14 +106,15 @@ def _refine(classes: list[int], successors) -> list[int]:
     """Moore partition refinement: the coarsest refinement of ``classes``
     (a class id per state) in which states of one class have successors in
     the same classes, column by column.  Classes are numbered in order of
-    their first state."""
+    their first state.  Once every class is one state, nothing can split
+    further, so no round confirms it."""
     count = len(set(classes))
     while True:
         sigs: dict = {}
         lookup = classes.__getitem__
         classes = [sigs.setdefault((c, *map(lookup, succ)), len(sigs))
                    for c, succ in zip(classes, successors)]
-        if len(sigs) == count:
+        if len(sigs) == count or len(sigs) == len(classes):
             return classes
         count = len(sigs)
 
@@ -108,14 +124,20 @@ def _minimize(dfa: _DFA) -> _DFA:
     quotient.  A breadth-first numbered input gives a breadth-first numbered
     output, with pairwise distinct columns numbered by first letter."""
     cls = _refine([q in dfa.accept for q in range(len(dfa.trans))], dfa.trans)
-    reps = {}
-    for q, c in enumerate(cls):
-        reps.setdefault(c, q)
-    rows = [tuple(map(cls.__getitem__, dfa.trans[q])) for q in reps.values()]
+    if cls[-1] == len(cls) - 1:
+        # no state merges: classes are numbered by first state, so ``cls``
+        # is the identity
+        rows, accept = dfa.trans, dfa.accept
+    else:
+        reps = {}
+        for q, c in enumerate(cls):
+            reps.setdefault(c, q)
+        rows = [tuple(map(cls.__getitem__, dfa.trans[q]))
+                for q in reps.values()]
+        accept = frozenset(c for c, q in reps.items() if q in dfa.accept)
     merged: dict = {}
     renumber = [merged.setdefault(col, len(merged)) for col in zip(*rows)]
     trans = tuple(zip(*merged)) if len(merged) < len(renumber) else tuple(rows)
-    accept = frozenset(c for c, q in reps.items() if q in dfa.accept)
     return _DFA(dfa.variables, cls[dfa.start], accept, trans,
                 tuple(map(renumber.__getitem__, dfa.column)))
 
@@ -164,68 +186,95 @@ def _const(variables: tuple[str, ...], value: bool) -> _DFA:
                 (0,) * (3 << len(variables)))
 
 
-# Two-track atoms run from NONE (no point marked yet) through MID (the
-# first of two distinct points marked) to the absorbing ACC or DEAD.  A step
-# rule maps (state, step bit, x marked, y marked) to the next state for
-# NONE and MID.
-_NONE, _MID, _ACC, _DEAD = range(4)
+# A quantifier-free formula over two names a < b holds or fails on a pair of
+# points according to the pair's type, one of five, and bit t of its mask is
+# set when it holds at type t.  Each type is given by the (point, class) of
+# a and of b in one pair of that type, so an atom's mask is read from the
+# relation's definition.
+_PAIR_TYPES = (
+    {"a": (1, 0), "b": (2, 0)},  # a before b in one class
+    {"a": (1, 0), "b": (2, 1)},  # a before b in two classes
+    {"a": (1, 0), "b": (1, 0)},  # a = b
+    {"a": (2, 0), "b": (1, 0)},  # b before a in one class
+    {"a": (2, 1), "b": (1, 0)},  # b before a in two classes
+)
+_FULL = (1 << len(_PAIR_TYPES)) - 1
 
-
-def _lt_step(q: int, bit: int, x: bool, y: bool) -> int:
-    if q == _MID:
-        return _ACC if y else _MID
-    return _DEAD if y else _MID if x else _NONE
-
-
-def _eq_step(q: int, bit: int, x: bool, y: bool) -> int:
-    return _ACC if x and y else _DEAD if x or y else _NONE
-
-
-def _same_class_step(q: int, bit: int, x: bool, y: bool) -> int:
-    # equal positions, or an unbroken run of grow steps from the first mark
-    # up to (excluding) the second
-    if x and y or q == _MID and (x or y):
-        return _ACC
-    if q == _NONE and not (x or y):
-        return _NONE
-    return _MID if bit == 1 else _DEAD
-
-
-#: symbol -> (step rule, value of the atom when both names are equal)
-_STEP_RULES = {
-    "<": (_lt_step, False),
-    "E": (_same_class_step, True),
-    "=": (_eq_step, True),
+#: (symbol, x < y, x == y) -> the mask of the atom ``x symbol y``; an atom
+#: of one name holds at every type or at none
+_ATOM_MASKS = {
+    (symbol, x < y, x == y): sum(
+        bool(RELATIONS[symbol](t[x][0], t[y][0], t[x][1], t[y][1])) << bit
+        for bit, t in enumerate(_PAIR_TYPES))
+    for symbol in ("=", *RELATION_SYMBOLS["convex"])
+    for x, y in ("ab", "ba", "aa")
 }
 
 
-def _two_track(x: str, y: str, step) -> _DFA:
-    """The atom of distinct variables x and y whose step rule is ``step``,
-    over the 12 letters of two tracks."""
-    variables = tuple(sorted((x, y)))
-    xbit, ybit = 1 << variables.index(x), 1 << variables.index(y)
-    rows = tuple(tuple(step(q, l >> 2, bool(l & xbit), bool(l & ybit))
-                       for l in range(12)) for q in (_NONE, _MID))
-    trans = rows + ((_ACC,) * 12, (_DEAD,) * 12)
-    return _minimize(_reachable(
-        _DFA(variables, _NONE, frozenset({_ACC}), trans, tuple(range(12)))))
+def _mask(f: Formula) -> int:
+    """The mask of a quantifier-free formula over at most two names."""
+    kind = type(f)
+    if kind is Atom:
+        x, y = f.left, f.right
+        return _ATOM_MASKS[f.symbol, x < y, x == y]
+    if kind is Not:
+        return _FULL ^ _mask(f.body)
+    if kind is TrueFormula:
+        return _FULL
+    if kind is FalseFormula:
+        return 0
+    left, right = _mask(f.left), _mask(f.right)
+    if kind is And:
+        return left & right
+    if kind is Or:
+        return left | right
+    if kind is Implies:
+        return (_FULL ^ left) | right
+    if kind is Iff:
+        return _FULL ^ left ^ right
+    raise TypeError(f"not a formula: {f!r}")
 
 
-#: (symbol, whether the left name sorts first) -> the atom's automaton,
-#: built once over the tracks of the placeholder names ("a", "b")
-_ATOMS = {(symbol, x < y): _two_track(x, y, step)
-          for symbol, (step, _) in _STEP_RULES.items()
-          for x, y in ("ab", "ba")}
+def _type_step(state, bit: int, a: bool, b: bool):
+    """The pair reader's move on a letter with step bit ``bit`` that marks
+    a, b, both or neither.  Its state is None before either mark, the pair
+    type once both are placed, and in between the first name marked and
+    whether its class is still open: every step since its mark grew it."""
+    if state is None:
+        if a and b:
+            return 2
+        if a or b:
+            return "a" if a else "b", bit == 1
+        return None
+    if type(state) is int:
+        return state
+    first, still_open = state
+    second = b if first == "a" else a
+    if second:
+        return (0 if still_open else 1) + (0 if first == "a" else 3)
+    return first, still_open and bit == 1
 
 
-def _atom(f: Atom) -> _DFA:
-    """The automaton of an atom of the convex language."""
-    x, y = f.left, f.right
-    if x == y:
-        return _const((x,), _STEP_RULES[f.symbol][1])
-    dfa = _ATOMS[f.symbol, x < y]
-    return _DFA((x, y) if x < y else (y, x), dfa.start, dfa.accept, dfa.trans,
-                dfa.column)
+#: the pair reader's states, numbered breadth-first, and its rows over the
+#: 12 letters of two tracks
+_READER_STATES, _READER_ROWS = _explore(None, lambda state: [
+    _type_step(state, l >> 2, bool(l & 1), bool(l & 2)) for l in range(12)])
+
+
+def _pair(mask: int) -> _DFA:
+    """The automaton over the tracks of a < b that accepts a word marking
+    each name once when the type of the marked pair is in ``mask``.  What
+    it does on a word that marks a name twice or never is left open: no
+    stage depends on such words."""
+    accept = frozenset(s for s, state in enumerate(_READER_STATES)
+                       if type(state) is int and mask >> state & 1)
+    return _minimize(_DFA(("a", "b"), 0, accept, _READER_ROWS,
+                          tuple(range(12))))
+
+
+#: mask -> the automaton of the masks that are not constant, built once
+#: over the tracks of the placeholder names ("a", "b")
+_PAIRS = {mask: _pair(mask) for mask in range(1, _FULL)}
 
 
 def _lift(dfa: _DFA, variables: tuple[str, ...]) -> _DFA:
@@ -340,16 +389,19 @@ def _exists(var: str, body: _DFA) -> _DFA:
 def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
     """The shape id and the automaton of ``f``.
 
-    A node's key is its kind, its children's shape ids and where their
-    tracks sit among its own, so nodes with equal keys have one shape.
-    ``memo`` maps each key to its shape id and the automaton of the first
-    node that had it, which a later node of the shape takes under its own
-    variable names."""
+    A quantifier-free node over at most two names is keyed by its mask and
+    its number of tracks.  Any other node's key is its kind, its children's
+    shape ids and where their tracks sit among its own.  Nodes with equal
+    keys have one shape.  ``memo`` maps each key to its shape id and the
+    automaton of the first node that had it, which a later node of the
+    shape takes under its own variable names."""
     kind = type(f)
-    if kind is Atom:
-        x, y = f.left, f.right
-        key = (f.symbol, x < y, x == y)
-        variables = (x,) if x == y else (x, y) if x < y else (y, x)
+    pair = f.depth == 0 and len(f.free) <= 2
+    if pair:
+        variables = tuple(sorted(f.free))
+        mask = _mask(f)
+        # the track count keeps a one-name constant from a two-name one
+        key = (mask, len(variables))
     elif kind is Not:
         body_id, body = _compile(f.body, memo)
         key = (Not, body_id)
@@ -363,9 +415,6 @@ def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
         key = (kind, body_id, i)
         if i is not None:
             variables = variables[:i] + variables[i + 1:]
-    elif kind is TrueFormula or kind is FalseFormula:
-        key = (kind,)
-        variables = ()
     elif kind is And or kind is Or or kind is Implies or kind is Iff:
         left_id, a = _compile(f.left, memo)
         right_id, b = _compile(f.right, memo)
@@ -380,16 +429,19 @@ def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
         shape, dfa = hit
         return shape, _DFA(variables, dfa.start, dfa.accept, dfa.trans,
                            dfa.column)
-    if kind is Atom:
-        dfa = _atom(f)
+    if pair:
+        if mask == 0 or mask == _FULL:
+            dfa = _const(variables, mask == _FULL)
+        else:
+            dfa = _PAIRS[mask]
+            dfa = _DFA(variables, dfa.start, dfa.accept, dfa.trans,
+                       dfa.column)
     elif kind is Not:
         dfa = _complement(body)
     elif kind is Exists:
         dfa = _exists(f.var, body)
     elif kind is Forall:
         dfa = _complement(_exists(f.var, _complement(body)))
-    elif kind is TrueFormula or kind is FalseFormula:
-        dfa = _const((), kind is TrueFormula)
     elif kind is And:
         dfa = _product(a, b, lambda p, q: p and q)
     elif kind is Or:

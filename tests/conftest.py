@@ -78,11 +78,18 @@ def recursive_evaluate(struct, f, env=None) -> bool:
 ALL_SYMBOLS = ("<", "E", "<1", "<2", "p1", "p2")
 
 
-def random_formula(rng, variables, depth, symbols=ALL_SYMBOLS):
+def random_formula(rng, variables, depth, symbols=ALL_SYMBOLS, fresh=0.0):
     """A random formula at most ``depth`` levels deep whose atoms name only
     the variables bound above it (``variables``), so it is closed when
     ``variables`` is empty.  Quantifiers may shadow a bound name or bind a
-    name their body does not use."""
+    name their body does not use.  ``fresh`` is the chance that a level
+    above the last is a quantifier over a name not bound above it; at 0
+    the draw takes no extra random numbers."""
+    if fresh and depth > 0 and rng.random() < fresh:
+        var = f"v{len(variables)}"
+        quant = Exists if rng.random() < 0.5 else Forall
+        return quant(var, random_formula(rng, variables + [var], depth - 1,
+                                         symbols, fresh))
     kind = rng.randrange(10 if depth > 0 else 4)
     bound = [v for v in variables if v is not None]
     if kind == 0:
@@ -93,18 +100,18 @@ def random_formula(rng, variables, depth, symbols=ALL_SYMBOLS):
     if kind == 3 and bound:
         return Atom("=", rng.choice(bound), rng.choice(bound))
     if kind == 4:
-        return Not(random_formula(rng, variables, depth - 1, symbols))
+        return Not(random_formula(rng, variables, depth - 1, symbols, fresh))
     if kind in (5, 6, 7):
         op = {5: And, 6: Or, 7: Implies}[kind]
-        return op(random_formula(rng, variables, depth - 1, symbols),
-                  random_formula(rng, variables, depth - 1, symbols))
+        return op(random_formula(rng, variables, depth - 1, symbols, fresh),
+                  random_formula(rng, variables, depth - 1, symbols, fresh))
     if kind == 8:
-        return Iff(random_formula(rng, variables, depth - 1, symbols),
-                   random_formula(rng, variables, depth - 1, symbols))
+        return Iff(random_formula(rng, variables, depth - 1, symbols, fresh),
+                   random_formula(rng, variables, depth - 1, symbols, fresh))
     var = rng.choice(["x", "y", "z", "w"])  # shadowing allowed
     quant = Exists if rng.random() < 0.5 else Forall
     return quant(var, random_formula(rng, variables + [var], depth - 1,
-                                     symbols))
+                                     symbols, fresh))
 
 
 def _load_closed_form_sentences():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import closed_form, max_norm_distance, partition_by, \
-    shapes_up_to
+    random_formula, recursive_evaluate, shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import BudgetExceededError, GameSolver, fast_equiv_shapes
 from limlaw import limitchain
@@ -36,6 +36,7 @@ from limlaw.logic import (
     batch_rows,
     evaluate,
     evaluation_cells,
+    format_formula,
     miniscope,
     parse,
     quantifier_depth,
@@ -254,6 +255,27 @@ class TestLimitProbability:
                         distribution_after(analysis.chain, n - 1)), \
                     (entry.name, n)
         assert checked == 7
+
+    def test_random_sentences_agree_with_the_class_chain(self):
+        # closed {<, E} sentences of quantifier depth at most 2, drawn with
+        # quantifiers over fresh names at 45% of levels: the automaton's
+        # limit is the limiting mass of the depth-2 classes whose
+        # representative satisfies the sentence
+        chain = build_chain(2)
+        dist = limiting_distribution(chain)
+        structures = [as_relational("convex", s.representative.shape)
+                      for s in chain.states]
+        rng = random.Random(5)
+        checked = 0
+        while checked < 150:
+            sentence = random_formula(rng, [], 4, ("<", "E"), 0.45)
+            if sentence.depth > 2:
+                continue
+            checked += 1
+            want = sum((dist[i] for i, struct in enumerate(structures)
+                        if recursive_evaluate(struct, sentence)), Fraction(0))
+            assert analyze_limit("convex", sentence).probability == want, \
+                format_formula(sentence)
 
     def test_open_formula_rejected(self):
         with pytest.raises(ValueError):

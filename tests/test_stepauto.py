@@ -97,14 +97,12 @@ class TestCompilation:
         with pytest.raises(SignatureError):
             compile_sentence(parse("exists x. exists y. x p1 y"))
 
-    def test_atom_automata_are_built_once(self, monkeypatch):
-        from limlaw import stepauto
-
+    def test_pair_automata_are_built_once(self, monkeypatch):
         def never(*args):
-            raise AssertionError("an atom automaton was built again")
+            raise AssertionError("a pair automaton was built again")
 
-        monkeypatch.setattr(stepauto, "_two_track", never)
-        for text in EXTRA_SENTENCES:
+        monkeypatch.setattr(stepauto, "_pair", never)
+        for text in EXTRA_SENTENCES + SHARING_SENTENCES:
             compile_sentence(parse(text, SIGNATURES["convex"]))
 
     def test_minimal_sizes_of_known_languages(self):
@@ -432,9 +430,9 @@ class TestCompileWork:
         # shares subformulas, not only in its speed
         names = [f"v{i}" for i in range(9)]
         cases = [
-            ("convex", closed_form.ladder_b(6, names)[0], 88218, 15),
+            ("convex", closed_form.ladder_b(6, names)[0], 58078, 15),
             ("composition", closed_form.family(
-                "first_class", "composition", 6, names)[0], 22781, 19),
+                "first_class", "composition", 6, names)[0], 23996, 17),
         ]
         sizes = _count_minimized(monkeypatch)
         for theory, text, work, calls in cases:
@@ -489,19 +487,59 @@ class TestShapeSharing:
                                   "exists z. c < d"))) == 2
 
 
+def _pair_type(view, a, b) -> int:
+    """The type of the pair of points a and b, in the mask-bit order of
+    ``stepauto._PAIR_TYPES``, read from the view's relations."""
+    if view.holds("=", a, b):
+        return 2
+    return (0 if view.holds("<", a, b) else 3) + (not view.holds("E", a, b))
+
+
+class TestPairTable:
+    def test_accepts_exactly_the_pair_types_in_its_mask(self):
+        # every shape up to size 6 and every placement of the marks of a
+        # and b, coinciding ones included; bit 0 of a letter marks a, bit 1
+        # marks b, and its step bit says how the class after the point goes
+        assert sorted(stepauto._PAIRS) == list(range(1, 31))
+        for shape in shapes_up_to(6):
+            view = as_relational("convex", shape)
+            points = view.points()
+            steps = [int(view.holds("E", p, p + 1)) for p in points[:-1]] + [2]
+            for a in points:
+                for b in points:
+                    word = [step << 2 | (p == a) | (p == b) << 1
+                            for p, step in zip(points, steps)]
+                    pair_type = _pair_type(view, a, b)
+                    for mask, dfa in stepauto._PAIRS.items():
+                        state = dfa.start
+                        for letter in word:
+                            state = dfa.trans[state][dfa.column[letter]]
+                        assert (state in dfa.accept) == bool(
+                            mask >> pair_type & 1), (mask, str(shape), a, b)
+
+
+def _check_random_sentences(rng, fresh):
+    """Closed {<, E} sentences of depth up to 4, shadowing and vacuous
+    quantifiers included, compiled as they are and miniscoped, against
+    ``recursive_evaluate`` on every shape up to size 7."""
+    shapes = shapes_up_to(7)
+    structures = [as_relational("convex", s) for s in shapes]
+    for _ in range(300):
+        sentence = random_formula(rng, [], 4, ("<", "E"), fresh)
+        automata = (compile_sentence(sentence),
+                    compile_sentence(miniscope(sentence)))
+        for shape, struct in zip(shapes, structures):
+            want = recursive_evaluate(struct, sentence)
+            for auto in automata:
+                assert _run(auto, shape) == want, (
+                    format_formula(sentence), str(shape))
+
+
 class TestRandomSentences:
     def test_automata_match_the_recursive_evaluator(self):
-        # closed {<, E} sentences of depth up to 4, shadowing and vacuous
-        # quantifiers included, compiled as they are and miniscoped
-        rng = random.Random(7)
-        shapes = shapes_up_to(7)
-        structures = [as_relational("convex", s) for s in shapes]
-        for _ in range(300):
-            sentence = random_formula(rng, [], 4, ("<", "E"))
-            automata = (compile_sentence(sentence),
-                        compile_sentence(miniscope(sentence)))
-            for shape, struct in zip(shapes, structures):
-                want = recursive_evaluate(struct, sentence)
-                for auto in automata:
-                    assert _run(auto, shape) == want, (
-                        format_formula(sentence), str(shape))
+        _check_random_sentences(random.Random(7), 0.0)
+
+    def test_quantifier_heavy_sentences_match_the_recursive_evaluator(self):
+        # a quantifier over a fresh name at 45% of levels puts automata
+        # over few tracks under products over more, which lifts them
+        _check_random_sentences(random.Random(7), 0.45)
