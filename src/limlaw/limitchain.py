@@ -50,7 +50,6 @@ from .structures import (
     ConvexLinearOrder,
     PartSequence,
     as_relational,
-    decompose,
     hat,
     oplus,
 )
@@ -382,15 +381,6 @@ def distribution_after(chain: Chain, steps: int) -> Distribution:
     return Distribution(tuple(Fraction(v, denom) for v in nums))
 
 
-def chain_walk(chain: Chain, shape: PartSequence) -> int:
-    """State reached by running the shape's construction steps from the start."""
-    state = chain.start
-    for bit in decompose(ConvexLinearOrder(shape)):
-        s = chain.states[state]
-        state = s.succ_hat if bit else s.succ_plus
-    return state
-
-
 def build_sentence_chain(translated: Formula) -> Chain:
     """Chain of the sentence's step automaton (states: acceptance-equivalent
     construction prefixes).
@@ -501,7 +491,10 @@ def limit_probability(theory: str, sentence) -> Fraction:
 
 _WILSON_Z99 = 2.5758293035489004
 _CHUNK = 4096
-#: step bytes drawn per sample at a time (8 steps each)
+#: step bytes drawn per sample in the first slice (8 steps each); each
+#: later slice doubles, up to ``_SLICE_BYTES``.  Both are multiples of 4,
+#: so every slice but the last draws whole 4-byte words of the stream
+_FIRST_SLICE_BYTES = 4
 _SLICE_BYTES = 128
 
 
@@ -528,16 +521,29 @@ def _step_bytes(seed: int, chunk_index: int, size: int, n: int):
     class.
 
     Each chunk has its own generator, derived from the seed and the chunk
-    index.  Rows are drawn ``_SLICE_BYTES`` at a time in step-major order,
-    so a row is contiguous and memory stays O(size * _SLICE_BYTES) at any n.
+    index.  Rows are drawn in step-major slices, so a row is contiguous:
+    ``_FIRST_SLICE_BYTES`` rows first, then twice as many each time up to
+    ``_SLICE_BYTES``, so a walk that stops early draws little and memory
+    stays O(size * _SLICE_BYTES) at any n.
+
+    ``Generator.bytes`` is the little-endian bytes of uint32 words from
+    ``Generator.integers``, so the slices draw those words directly, which
+    spares its copies.  Every slice but the last is a whole number of
+    words, so the rows are the bytes of one ``rng.bytes`` draw of the
+    whole chunk, whatever the slicing.
     """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     rng = np.random.Generator(np.random.PCG64(seq))
     rows = (n - 1 + 7) // 8
-    for start in range(0, rows, _SLICE_BYTES):
-        width = min(_SLICE_BYTES, rows - start)
-        block = np.frombuffer(rng.bytes(width * size), dtype=np.uint8)
-        yield from block.reshape(width, size)
+    start, width = 0, _FIRST_SLICE_BYTES
+    while start < rows:
+        width = min(width, rows - start)
+        words = rng.integers(0, 1 << 32, size=(width * size + 3) // 4,
+                             dtype=np.uint32)
+        block = words.astype("<u4", copy=False).view(np.uint8)
+        yield from block[:width * size].reshape(width, size)
+        start += width
+        width = min(2 * width, _SLICE_BYTES)
 
 
 def _packed_steps(seed: int, chunk_index: int, size: int, n: int
@@ -569,33 +575,70 @@ def _class_rows(bits: np.ndarray) -> np.ndarray:
     return classes
 
 
-def _step_table(chain: Chain, width: int) -> np.ndarray:
-    """Flat table of the chain's ``width``-step moves: entry ``256*s + b`` is
-    ``256 * t``, where ``t`` is the state reached from ``s`` by the low
-    ``width`` bits of byte ``b``, least significant first."""
-    trans = np.array(
-        [[s.succ_plus for s in chain.states],
-         [s.succ_hat for s in chain.states]], dtype=np.intp)
+@dataclass(frozen=True)
+class _WalkTables:
+    """The walk's step tables over the chain renumbered with its absorbing
+    states (both successors itself) first, so "every sample sits in a sink"
+    is ``state.max() < sinks << 8``.
+
+    Entry ``256*s + b`` of ``full`` is ``256 * t``, where ``t`` is the state
+    reached from ``s`` by byte ``b``'s 8 steps, least significant first;
+    ``tail`` takes only the last ``(n - 1) % 8`` steps.  ``chain_ids[s]``
+    is the chain's id of walk state ``s``."""
+    full: np.ndarray
+    tail: np.ndarray
+    start: int
+    sinks: int
+    chain_ids: np.ndarray
+
+
+def _walk_tables(chain: Chain, n: int) -> _WalkTables:
+    """The tables of a walk of ``n - 1`` steps through the chain."""
+    absorbing = [s.succ_plus == s.succ_hat == s.id for s in chain.states]
+    chain_ids = np.array(
+        sorted(range(len(chain)), key=lambda q: not absorbing[q]),
+        dtype=np.intp)
+    walk_id = np.empty_like(chain_ids)
+    walk_id[chain_ids] = np.arange(len(chain))
+    trans = walk_id[np.array(
+        [[chain.states[q].succ_plus for q in chain_ids],
+         [chain.states[q].succ_hat for q in chain_ids]], dtype=np.intp)]
     byte = np.arange(256)[:, None]
-    table = np.broadcast_to(np.arange(len(chain)), (256, len(chain)))
-    for b in range(width):
-        table = trans[(byte >> b) & 1, table]
-    return (table.T << 8).ravel()
+
+    def table(width: int) -> np.ndarray:
+        moved = np.broadcast_to(np.arange(len(chain)), (256, len(chain)))
+        for b in range(width):
+            moved = trans[(byte >> b) & 1, moved]
+        return (moved.T << 8).ravel()
+
+    return _WalkTables(table(8), table((n - 1) % 8), int(walk_id[chain.start]),
+                       sum(absorbing), chain_ids)
 
 
-def _walk_chunk(chain: Chain, tables: tuple[np.ndarray, np.ndarray],
-                seed: int, chunk_index: int, size: int, n: int) -> np.ndarray:
-    """Final chain state of each sample of the chunk, one gather per byte:
-    ``tables`` are the 8-step table and the table of the last
-    ``(n - 1) % 8`` steps."""
-    full, tail = tables
+def _walk_chunk(tables: _WalkTables, seed: int, chunk_index: int, size: int,
+                n: int) -> np.ndarray:
+    """Final chain state of each sample of the chunk, one gather per byte.
+
+    A sink never moves, so the walk stops drawing as soon as every sample
+    sits in one: at once if the start is a sink, else when a check after
+    rows 1, 2, 4 and 8, and after every 8th row from then on, finds them
+    all there; a chain without a sink is never checked.  The states
+    returned are exact either way."""
+    full, tail = tables.full, tables.tail
     full_rows = (n - 1) // 8
-    state = np.full(size, chain.start << 8, dtype=np.intp)
-    index = np.empty(size, dtype=np.intp)
-    for t, row in enumerate(_step_bytes(seed, chunk_index, size, n)):
-        np.add(state, row, out=index)
-        np.take(full if t < full_rows else tail, index, out=state)
-    return state >> 8
+    settled = tables.sinks << 8
+    state = np.full(size, tables.start << 8, dtype=np.intp)
+    if tables.start >= tables.sinks:
+        index = np.empty(size, dtype=np.intp)
+        check = 1 if tables.sinks else 0  # the next row checked; 0: none
+        for t, row in enumerate(_step_bytes(seed, chunk_index, size, n), 1):
+            np.add(state, row, out=index)
+            np.take(full if t <= full_rows else tail, index, out=state)
+            if t == check:
+                if state.max() < settled:
+                    break
+                check = 2 * t if t < 8 else t + 8
+    return tables.chain_ids[state >> 8]
 
 
 def _check_counts(n: int, samples: int) -> None:
@@ -619,14 +662,16 @@ def walk_estimate(chain: Chain, n: int, samples: int, seed: int
     """Monte Carlo estimate of the chain's accepting mass after the n-1
     construction steps of a size-n structure: each sample's steps run
     through the chain, one table lookup per 8 steps, and satisfaction is
-    read off the final state's label."""
+    read off the final state's label.  A chunk stops drawing steps once
+    all its samples sit in absorbing states, so the hits are those of the
+    full walk at a cost that follows the chain's absorption, not n."""
     _check_counts(n, samples)
-    tables = (_step_table(chain, 8), _step_table(chain, (n - 1) % 8))
+    tables = _walk_tables(chain, n)
     accepting = np.array([bool(s.accepting) for s in chain.states])
     hits = 0
     for idx, start in enumerate(range(0, samples, _CHUNK)):
         size = min(_CHUNK, samples - start)
-        states = _walk_chunk(chain, tables, seed, idx, size, n)
+        states = _walk_chunk(tables, seed, idx, size, n)
         hits += int(accepting[states].sum())
     return _result(hits, samples)
 

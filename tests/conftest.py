@@ -6,6 +6,8 @@ independent of the library's prefix-sum views, so view/oracle agreement is a
 real check rather than a tautology.  :func:`recursive_evaluate` is the model
 checker oracle: plain recursion over the formula, one point at a time through
 ``holds``, against which the library's array evaluator is tested.
+:func:`chain_walk` is the walk oracle: one step at a time through a chain,
+against which the sampler's byte-at-a-time walk is tested.
 """
 from __future__ import annotations
 
@@ -27,7 +29,12 @@ from limlaw.logic import (
     TRUE,
     TrueFormula,
 )
-from limlaw.structures import PartSequence, enumerate_shapes
+from limlaw.structures import (
+    ConvexLinearOrder,
+    PartSequence,
+    decompose,
+    enumerate_shapes,
+)
 
 
 def recursive_evaluate(struct, f, env=None) -> bool:
@@ -73,6 +80,16 @@ def recursive_evaluate(struct, f, env=None) -> bool:
         raise TypeError(f"not a formula: {g!r}")
 
     return rec(f)
+
+
+def chain_walk(chain, shape: PartSequence) -> int:
+    """State reached by running the shape's construction steps through the
+    chain from its start, one step at a time."""
+    state = chain.start
+    for bit in decompose(ConvexLinearOrder(shape)):
+        s = chain.states[state]
+        state = s.succ_hat if bit else s.succ_plus
+    return state
 
 
 ALL_SYMBOLS = ("<", "E", "<1", "<2", "p1", "p2")

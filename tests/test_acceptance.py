@@ -13,12 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from conftest import max_norm_distance, partition_by, shapes_up_to
+from conftest import chain_walk, max_norm_distance, partition_by, \
+    shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import GameSolver, fast_equiv_shapes
 from limlaw.limitchain import (
     analyze_limit,
-    chain_walk,
     check_fully_aperiodic,
     distribution_after,
     estimate_probability,

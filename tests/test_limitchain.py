@@ -3,10 +3,11 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import closed_form, max_norm_distance, partition_by, \
-    random_formula, recursive_evaluate, shapes_up_to
+from conftest import chain_walk, closed_form, max_norm_distance, \
+    partition_by, random_formula, recursive_evaluate, shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import BudgetExceededError, GameSolver, fast_equiv_shapes
 from limlaw import limitchain
@@ -22,7 +23,6 @@ from limlaw.limitchain import (
     chain_from_json,
     chain_to_dot,
     chain_to_json,
-    chain_walk,
     check_fully_aperiodic,
     distribution_after,
     estimate_probability,
@@ -505,20 +505,95 @@ class TestEstimate:
 
     def test_packed_walk_matches_chain_walk(self):
         # n - 1 steps: none, a partial byte only, whole bytes, tails of 1, 3
-        # and 7 steps, and the first slice boundary with and without a tail
+        # and 7 steps, the old 1024-step slice boundary with and without a
+        # tail, and each end of the growing slices with and without a tail
+        # or a partial next row; on chains that absorb after one step, after
+        # a random number of steps (some-descent), and never
+        # (last-class-at-least-2 has no sink), in chunks of an even and an
+        # odd size
         slice_steps = 8 * limitchain._SLICE_BYTES
         sizes = (1, 2, 8, 9, 10, 17, 257, 1000,
-                 slice_steps + 1, slice_steps + 4)
-        for entry in (BATTERY[2], BATTERY[3], BATTERY[7]):
+                 slice_steps + 1, slice_steps + 4) \
+            + tuple(8 * rows + d for rows in _slice_ends(252)
+                    for d in (0, 1, 2))
+        for entry in (BATTERY[2], BATTERY[3], BATTERY[6], BATTERY[7]):
             chain = limitchain.prepare_chain(entry.theory, entry.text)[2]
             for n in sizes:
-                tables = (limitchain._step_table(chain, 8),
-                          limitchain._step_table(chain, (n - 1) % 8))
-                states = limitchain._walk_chunk(chain, tables, 5, 1, 24, n)
-                bits = limitchain._step_bits(5, 1, 24, n)
-                assert bits.shape == (24, n - 1)
-                assert [chain_walk(chain, shape_from_bits(row))
-                        for row in bits] == states.tolist(), (entry.name, n)
+                tables = limitchain._walk_tables(chain, n)
+                for size in (24, 7):
+                    states = limitchain._walk_chunk(tables, 5, 1, size, n)
+                    bits = limitchain._step_bits(5, 1, size, n)
+                    assert bits.shape == (size, n - 1)
+                    assert [chain_walk(chain, shape_from_bits(row))
+                            for row in bits] == states.tolist(), \
+                        (entry.name, n, size)
+
+    def test_step_rows_are_one_draw_of_the_whole_chunk(self):
+        # the growing slices are whole 4-byte words of the chunk's stream,
+        # so their rows are the bytes of a single draw
+        ns = [1, 2, 9] + [8 * rows + d for rows in _slice_ends(380)
+                          for d in (0, 1, 2)]
+        for size in (1, 3, 24, limitchain._CHUNK):
+            for n in ns:
+                rows = (n - 1 + 7) // 8
+                seq = np.random.SeedSequence(entropy=9, spawn_key=(2,))
+                rng = np.random.Generator(np.random.PCG64(seq))
+                whole = np.frombuffer(rng.bytes(rows * size), dtype=np.uint8)
+                drawn = list(limitchain._step_bytes(9, 2, size, n))
+                assert len(drawn) == rows, (size, n)
+                if rows:
+                    assert np.array_equal(np.stack(drawn),
+                                          whole.reshape(rows, size)), (size, n)
+
+    def test_walk_stops_drawing_once_every_sample_is_absorbed(
+            self, monkeypatch):
+        rows_drawn = []
+        step_bytes = limitchain._step_bytes
+
+        def counted(*args):
+            rows_drawn.append(0)
+            for row in step_bytes(*args):
+                rows_drawn[-1] += 1
+                yield row
+
+        monkeypatch.setattr(limitchain, "_step_bytes", counted)
+        nonempty = BATTERY[0]
+        assert nonempty.name == "nonempty"
+        # the start is an accepting sink: no row is drawn
+        assert estimate_probability(nonempty.theory, nonempty.text,
+                                    n=100_000, samples=5000, seed=1).hits \
+            == 5000
+        assert sum(rows_drawn) == 0
+        # the first step decides: every chunk stops within its first slice,
+        # and a sample hits iff its first step grows the first class
+        entry = BATTERY[2]
+        assert entry.name == "first-two-points-share-class"
+        samples = 2 * limitchain._CHUNK + 5
+        result = estimate_probability(entry.theory, entry.text, n=100_000,
+                                      samples=samples, seed=3)
+        assert len(rows_drawn) == 3
+        assert max(rows_drawn) <= limitchain._FIRST_SLICE_BYTES
+        chunks = [(idx, min(limitchain._CHUNK, samples - start))
+                  for idx, start in enumerate(
+                      range(0, samples, limitchain._CHUNK))]
+        assert result.hits == sum(
+            int(limitchain._step_bits(3, idx, size, 2).sum())
+            for idx, size in chunks)
+
+    def test_half_absorbing_walk_matches_direct(self):
+        # half the samples reach the accepting sink at the first step and
+        # the other half never reach one, so no chunk stops early; n spans
+        # the ends of the first two slices
+        text = f"({BATTERY[2].text}) | ({BATTERY[6].text})"
+        chain = limitchain.prepare_chain("convex", text)[2]
+        assert len(chain) == 4
+        assert limitchain._walk_tables(chain, 2).sinks == 1
+        for n in (32, 33, 34, 96, 97, 98):
+            walk = estimate_probability("convex", text, n=n, samples=1500,
+                                        seed=13)
+            direct = estimate_probability("convex", text, n=n, samples=1500,
+                                          seed=13, method="direct")
+            assert walk.hits == direct.hits, n
 
     def test_memory_bounded_at_large_n(self):
         # the per-chunk step array alone would be 4096 * 10^5 bytes (390 MiB)
@@ -530,6 +605,16 @@ class TestEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def _slice_ends(last: int) -> list[int]:
+    """The row counts at which the step slices end, up to ``last``."""
+    end, width, ends = 0, limitchain._FIRST_SLICE_BYTES, []
+    while end < last:
+        end += width
+        ends.append(end)
+        width = min(2 * width, limitchain._SLICE_BYTES)
+    return ends
 
 
 class TestVerification:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conftest import (
+    chain_walk,
     closed_form,
     random_formula,
     recursive_evaluate,
@@ -13,7 +14,7 @@ from conftest import (
 from limlaw import stepauto
 from limlaw.battery import BATTERY
 from limlaw.efgame import GameSolver
-from limlaw.limitchain import build_sentence_chain, chain_walk
+from limlaw.limitchain import build_sentence_chain
 from limlaw.logic import (
     SIGNATURES,
     SignatureError,
