@@ -146,7 +146,8 @@ def cmd_ef(args) -> int:
     right = as_relational(theory, PartSequence.from_text(args.right))
     if theory == "convex" and not args.oracle:
         before = fast_memo_size()
-        wins = fast_equiv_shapes(left.shape, right.shape, args.k)
+        wins = fast_equiv_shapes(left.shape, right.shape, args.k,
+                                 args.budget)
         method = "segment"
         nodes = fast_memo_size() - before
     else:
@@ -264,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", help="structure literal")
     p.add_argument("--k", type=_non_negative_int, required=True)
     p.add_argument("--budget", type=_positive_int, default=None,
-                   help="node budget of the game-tree solver only")
+                   help="bound on the new segment types of the convex "
+                        "decider or, under --oracle or another theory, on "
+                        "the nodes of the game-tree solver")
     p.add_argument("--oracle", action="store_true",
                    help="force the generic game-tree solver")
     p.add_argument("--emit-json", metavar="PATH")

@@ -4,11 +4,12 @@ Two routes to the same relation, kept deliberately independent so each can
 cross-check the other:
 
 * :class:`GameSolver` / :func:`equiv_k` — a memoized game-tree search over
-  any pair of relational views.  A position is memoized under its exact
-  description: rounds remaining and, for each side, the theory, the parts
-  and the played points.  Nothing coarser would share more on convex
-  views: a marked convex linear order is isomorphic only to itself, since a
-  finite linear order has no automorphism but the identity.  The solver
+  any pair of relational views.  A position with three or more rounds
+  left is memoized under its exact description: rounds remaining and, for
+  each side, the theory, the parts and the played points.  Nothing
+  coarser would share more on convex views: a marked convex linear order
+  is isomorphic only to itself, since a finite linear order has no
+  automorphism but the identity.  The solver
   reads each structure once, through the view's ``relation`` (the same
   definitions ``holds`` reads), into a pair-code table: one small int per
   ordered pair of points, packing every symbol of the signature in both
@@ -16,9 +17,7 @@ cross-check the other:
   ``logic.MAX_EVALUATION_CELLS`` cells is refused with
   :class:`BudgetExceededError` before the table is built.
   Consistency of a reply, the one-point extension types and the
-  partial-isomorphism check all compare codes.  A position with one round
-  left is decided by comparing the two sides' extension types, without a
-  memo entry.
+  partial-isomorphism check all compare codes.
 
   :meth:`GameSolver.type_id` reads the same codes from one side only: a
   structure's depth-k game type, the set of (atomic type, depth k-1 type)
@@ -27,10 +26,15 @@ cross-check the other:
   theorem).  Telling N structures apart then takes N types, not N(N-1)/2
   games, which is how the class chain is verified: on the depth-2 chain,
   396 types in 4-6 ms against 13,353 search nodes in 45-76 ms (2-core
-  host, Python 3.11).  ``equiv`` keeps its pair search, which stops at
-  Spoiler's first winning move where a type enumerates every move of its
-  side to full depth: linear orders of 20 and 40 points at k = 5 take
-  33,831 search nodes in 0.31 s, and 108,287 types in 3.2 s.
+  host, Python 3.11).  ``equiv`` is a hybrid of the two routes.  With
+  three or more rounds left it searches pairs, and stops at Spoiler's
+  first winning move, where a type enumerates every move of its side to
+  full depth.  A position with two or fewer rounds left is decided by
+  comparing the two sides' types over their played points, each computed
+  once however many pairings share it, with no memo entry of its own.
+  Linear orders of 20 and 40 points at k = 5 take 6,575 nodes in 0.07 s;
+  the search alone took 33,831 nodes in 0.14 s and typing both sides to
+  full depth takes 108,287 types in 1.6 s.
 
 * :func:`fast_equiv_convex` — a compositional decider for convex linear
   orders that splits the board at the chosen point and solves the two
@@ -42,9 +46,9 @@ two module-level caches keyed by immutable values: ``_type_memo`` maps
 They are process-global and unsynchronised: every caller in the process
 shares them, they grow until :func:`clear_fast_memo` empties them, and
 nothing here coordinates concurrent callers.  A :class:`GameSolver` instance
-owns its memo, the pair-code table and extension types of every structure it
-has met (keyed by theory and parts), its reply orders, and its game types
-and their ids; it is meant to be confined to one sweep.
+owns its memo, the pair-code table of every structure it has met (keyed by
+theory and parts), its reply orders, and its game types and their ids; it
+is meant to be confined to one sweep.
 """
 from __future__ import annotations
 
@@ -107,15 +111,29 @@ def _choices(seg):
                    (right, r > 0, ra and bool(right)))
 
 
-def _type_id(seg, k: int) -> int:
+def _type_id(seg, k: int, limit: int | None = None) -> int:
+    # ``limit``: the memo size at which a miss raises instead of adding
     if k <= 0:
         return 0
     key = (k, seg)
     hit = _type_memo.get(key)
     if hit is not None:
         return hit
-    items = frozenset((bits, _type_id(left, k - 1), _type_id(right, k - 1))
-                      for bits, left, right in _choices(seg))
+    if limit is not None and len(_type_memo) >= limit:
+        raise BudgetExceededError(
+            f"segment budget exhausted: the memo reached {limit} entries "
+            f"typing a segment of {sum(seg[0])} points at depth {k}", limit)
+    if k == 1:
+        # both pieces are typed 0, so every split of a block gives the same
+        # item: one pass over the blocks, not over the points
+        parts, la, ra = seg
+        last = len(parts) - 1
+        items = frozenset(((la and i == 0, ra and i == last), 0, 0)
+                          for i in range(len(parts)))
+    else:
+        items = frozenset((bits, _type_id(left, k - 1, limit),
+                           _type_id(right, k - 1, limit))
+                          for bits, left, right in _choices(seg))
     tid = _type_intern.setdefault((k, items), len(_type_intern) + 1)
     _type_memo[key] = tid
     return tid
@@ -147,13 +165,30 @@ def fast_equiv_convex(s: MarkedSegment, t: MarkedSegment, k: int) -> bool:
     return segment_type_id(s, k) == segment_type_id(t, k)
 
 
-def fast_equiv_shapes(a: PartSequence, b: PartSequence, k: int) -> bool:
-    return a == b or shape_type_id(a, k) == shape_type_id(b, k)
+def fast_equiv_shapes(a: PartSequence, b: PartSequence, k: int,
+                      budget: int | None = None) -> bool:
+    """Are the two convex shapes k-equivalent, by their segment types?
+    ``budget`` bounds the memo entries the whole query adds, as in
+    :func:`shape_type_id`."""
+    if a == b:
+        return True
+    before = len(_type_memo)
+    left = shape_type_id(a, k, budget)
+    if budget is not None:
+        budget -= len(_type_memo) - before
+    return left == shape_type_id(b, k, budget)
 
 
-def shape_type_id(shape: PartSequence, k: int) -> int:
-    """Depth-k type of a whole structure (both boundary flags off)."""
-    return _type_id((shape.parts, False, False), k)
+def shape_type_id(shape: PartSequence, k: int,
+                  budget: int | None = None) -> int:
+    """Depth-k type of a whole structure (both boundary flags off).
+
+    With a ``budget``, a call that would add more than ``budget`` entries
+    to the memo raises :class:`BudgetExceededError` instead; each entry
+    costs one pass over the choices of its segment.
+    """
+    limit = None if budget is None else len(_type_memo) + budget
+    return _type_id((shape.parts, False, False), k, limit)
 
 
 def fast_memo_size() -> int:
@@ -196,9 +231,12 @@ class GameSolver:
     """Memoized search for Duplicator's winning status.
 
     A single solver may be reused across many queries; the memo table is
-    keyed by exact positions, so sweeps over many structure pairs share
-    work.  Each structure the solver meets is read once, into a
-    :class:`_Board` kept by theory and parts.
+    keyed by exact positions with three or more rounds left, and the game
+    types that decide the last two rounds are keyed by one side's played
+    points, so sweeps over many structure pairs share work.  Each structure
+    the solver meets is read once, into a :class:`_Board` kept by theory
+    and parts.  ``nodes`` counts the positions searched and the types
+    computed, and ``budget`` bounds their sum.
     """
 
     def __init__(self, budget: int | None = None):
@@ -253,17 +291,26 @@ class GameSolver:
         return board
 
     def _win(self, A: _Board, B: _Board, pairs, r: int) -> bool:
+        """Duplicator's win status with ``r`` rounds left from ``pairs``,
+        a partial isomorphism sorted by its left points.
+
+        With r <= 2 the position is won iff the two sides' depth-r types
+        over their played points are equal (Hintikka types; the played
+        tuples follow the pairs' order, sorted on both sides under
+        ``convex``).  Each side's type is computed once however many
+        positions share it, and costs a node only when computed.  With
+        r >= 3 the pair search runs, one node per position visited, and
+        stops at Spoiler's first winning move.
+        """
+        if r <= 2:
+            xs, ys = zip(*pairs) if pairs else ((), ())
+            return self._type(A, xs, r) == self._type(B, ys, r)
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceededError(
                 f"game budget exhausted after {self.nodes} nodes on "
                 f"{A.view.theory} {A.view.shape} vs "
                 f"{B.view.theory} {B.view.shape}", self.nodes)
-        if r <= 0:
-            return True
-        if r == 1:
-            # deciding it costs no more than its memo key would
-            return _one_round_value(A, B, pairs)
         sa = (A.view.theory, A.view.shape.parts, tuple(x for x, _ in pairs))
         sb = (B.view.theory, B.view.shape.parts, tuple(y for _, y in pairs))
         key = (r, sa, sb) if sa <= sb else (r, sb, sa)
@@ -346,10 +393,10 @@ class GameSolver:
 
 
 class _Board:
-    """One structure as the solver reads it: the view, its pair-code table
-    and the one-point extension types over each played tuple met so far."""
+    """One structure as the solver reads it: the view and its pair-code
+    table."""
 
-    __slots__ = ("view", "size", "codes", "_types")
+    __slots__ = ("view", "size", "codes")
 
     def __init__(self, view: StructureView):
         cells = view.size * view.size
@@ -361,23 +408,19 @@ class _Board:
         self.view = view
         self.size = view.size
         self.codes = _pair_codes(view)
-        self._types: dict = {}
 
     def extension_types(self, played: tuple) -> frozenset:
         """The atomic types over ``played`` that the unplayed points
         realize."""
-        types = self._types.get(played)
-        if types is None:
-            type_of = itemgetter(0, *played)
-            codes = self.codes
-            types = set()
-            lo = 1
-            for a in sorted(played):
-                types.update(map(type_of, codes[lo:a]))
-                lo = a + 1
-            types.update(map(type_of, codes[lo:]))
-            types = self._types[played] = frozenset(types)
-        return types
+        type_of = itemgetter(0, *played)
+        codes = self.codes
+        types = set()
+        lo = 1
+        for a in sorted(played):
+            types.update(map(type_of, codes[lo:a]))
+            lo = a + 1
+        types.update(map(type_of, codes[lo:]))
+        return frozenset(types)
 
 
 def _pair_codes(V: StructureView) -> tuple[tuple[int, ...], ...]:
@@ -403,13 +446,6 @@ def _pair_codes(V: StructureView) -> tuple[tuple[int, ...], ...]:
         pairs |= forward.T << 2 * i + 1
     codes[:, 0] = pairs.diagonal()
     return ((), *(tuple(row.tolist()) for row in codes))
-
-
-def _one_round_value(A: _Board, B: _Board, pairs) -> bool:
-    # with one round left, Duplicator wins iff both sides realize the same
-    # set of one-point extension types over the played tuples
-    xs, ys = zip(*pairs) if pairs else ((), ())
-    return A.extension_types(xs) == B.extension_types(ys)
 
 
 def _spoiler_moves(size_a: int, size_b: int, xs, ys):

@@ -8,6 +8,9 @@ checker oracle: plain recursion over the formula, one point at a time through
 ``holds``, against which the library's array evaluator is tested.
 :func:`chain_walk` is the walk oracle: one step at a time through a chain,
 against which the sampler's byte-at-a-time walk is tested.
+:class:`PairSearch` is the game oracle: the solver's pair search run down to
+the last round, against which the solver's type comparison over the last two
+rounds is tested.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+from limlaw.efgame import GameSolver
 from limlaw.logic import (
     And,
     Atom,
@@ -90,6 +94,23 @@ def chain_walk(chain, shape: PartSequence) -> int:
         s = chain.states[state]
         state = s.succ_hat if bit else s.succ_plus
     return state
+
+
+class PairSearch(GameSolver):
+    """The game solver with no type leaf: every position with one or more
+    rounds left is searched move by move, Spoiler's moves against the
+    consistent replies, and memoized under its exact played points.
+    Only ``equiv`` is meant to be called; ``nodes`` and ``budget`` are not
+    kept."""
+
+    def _win(self, A, B, pairs, r):
+        if r <= 0:
+            return True
+        key = (r, A.view.theory, A.view.shape.parts, B.view.shape.parts, pairs)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._search(A, B, pairs, r)
+        return value
 
 
 ALL_SYMBOLS = ("<", "E", "<1", "<2", "p1", "p2")

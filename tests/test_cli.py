@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from limlaw import logic
 from limlaw.cli import main
+from limlaw.efgame import clear_fast_memo
 from limlaw.logic import MAX_NESTING
 
 PAIR = "exists x. exists y. (x E y & !(x = y))"
@@ -301,7 +303,33 @@ class TestEf:
         with pytest.raises(SystemExit):
             main(["ef", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "game-tree solver only" in help_text
+        assert ("bound on the new segment types of the convex decider or, "
+                "under --oracle or another theory, on the nodes of the "
+                "game-tree solver") in help_text
+
+    def test_budget_bounds_the_segment_decider(self, capsys):
+        # one block of 2000 points needs 9,996 segment types at depth 3
+        # and takes seconds; the budget stops it after 1,000.  The memo is
+        # shared by the process, so each query starts from an empty one
+        clear_fast_memo()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ef", "2000", "1", "--k", "3",
+                                 "--budget", "1000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert "segment budget exhausted" in err and "1000 entries" in err
+        clear_fast_memo()
+        code, out, _ = run_cli(capsys, "ef", "300", "1", "--k", "3")
+        assert (code, out.split()) == (0, ["spoiler", "method:", "segment",
+                                           "nodes:", "1496"])
+        clear_fast_memo()
+        code, out, _ = run_cli(capsys, "ef", "300", "1", "--k", "3",
+                               "--budget", "1496")
+        assert (code, out.split()[0]) == (0, "spoiler")
+        clear_fast_memo()
+        code, _, err = run_cli(capsys, "ef", "300", "1", "--k", "3",
+                               "--budget", "1495")
+        assert code == 3 and "1495 entries" in err
 
     def test_bad_literal_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ef", "2,0", "1,1", "--k", "1")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import partition_by, random_shape, shapes_up_to
+from conftest import PairSearch, partition_by, random_shape, shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw import efgame, logic
 from limlaw.efgame import (
@@ -104,6 +104,54 @@ class TestGenericSolver:
                 for j in range(i + 1, len(views)):
                     assert (ids[i] == ids[j]) == search.equiv(a, views[j], k), \
                         (str(a.shape), str(views[j].shape), k)
+
+    @pytest.mark.parametrize("theory", THEORIES)
+    def test_equiv_matches_the_plain_pair_search(self, theory):
+        # the solver decides the last two rounds by comparing each side's
+        # type; the plain search plays them out move by move.  b is a random
+        # shape or a with one part grown by 0-2 points, so both outcomes
+        # occur; openings are random partial isomorphisms, built pair by
+        # pair through ``holds``
+        def consistent(a, b, pairs, x, y):
+            return all(a.holds(s, x, u) == b.holds(s, y, v)
+                       and a.holds(s, u, x) == b.holds(s, v, y)
+                       for u, v in (*pairs, (x, y)) for s in a.symbols)
+
+        rng = random.Random(307)
+        solver, plain = GameSolver(), PairSearch()
+        outcomes = set()
+        for _ in range(200):
+            shape = random_shape(rng, 7)
+            if rng.random() < 0.5:
+                other = random_shape(rng, 7)
+            else:
+                grown = list(shape.parts)
+                grown[rng.randrange(len(grown))] += rng.randint(0, 2)
+                other = PartSequence(tuple(grown))
+            a, b = as_relational(theory, shape), as_relational(theory, other)
+            for k in (1, 2, 3):
+                value = solver.equiv(a, b, k)
+                assert value == plain.equiv(a, b, k), \
+                    (str(shape), str(other), k)
+                outcomes.add((k, value))
+            pairs = []
+            for _ in range(rng.randint(1, min(3, a.size))):
+                x = rng.choice([p for p in a.points()
+                                if p not in {u for u, _ in pairs}])
+                replies = [q for q in b.points()
+                           if q not in {v for _, v in pairs}
+                           and consistent(a, b, pairs, x, q)]
+                if not replies:
+                    break
+                pairs.append((x, rng.choice(replies)))
+            for r in (2, 3):
+                value = solver.equiv(a, b, r, pairs=pairs)
+                assert value == plain.equiv(a, b, r, pairs=pairs), \
+                    (str(shape), str(other), pairs, r)
+                outcomes.add((-r, value))
+        # depth 1 never separates two nonempty structures
+        assert outcomes == {(1, True)} | {(k, v) for k in (2, 3, -2, -3)
+                                          for v in (False, True)}, outcomes
 
     def test_no_solver_keyword(self):
         # a caller's solver once silently replaced ``budget``
@@ -509,14 +557,19 @@ def test_segment_decider_work_is_pinned():
 
 def test_game_search_work_is_pinned():
     # nodes the generic solver visits; a change here is a change in its move
-    # order or pruning, not only in its speed.  Verifying a chain computes
-    # one node per game type, depth by depth
+    # order or pruning, not only in its speed.  A node is a position searched
+    # with three or more rounds left, or a game type computed: verifying a
+    # chain computes one node per type, depth by depth, and a search decides
+    # its last two rounds by comparing the two sides' types
     solver = GameSolver()
     verify_chain_states(build_chain(2), solver)
     assert solver.nodes == 396
     a, b = PartSequence((2, 1, 3)), PartSequence((3, 1, 2))
-    for theory, nodes in (("convex", 20), ("layered", 20),
-                          ("composition", 48), ("fractured", 20)):
+    for theory, nodes in (("convex", 28), ("layered", 43),
+                          ("composition", 49), ("fractured", 43)):
         solver = GameSolver()
         solver.equiv(as_relational(theory, a), as_relational(theory, b), 3)
         assert solver.nodes == nodes, theory
+    solver = GameSolver()
+    assert not solver.equiv(_convex(*(1,) * 20), _convex(*(1,) * 40), 5)
+    assert solver.nodes == 6575
