@@ -48,7 +48,6 @@ from .logic import (
 from .structures import (
     BULLET,
     ConvexLinearOrder,
-    PartSequence,
     as_relational,
     hat,
     oplus,
@@ -776,21 +775,6 @@ def chain_to_json(chain: Chain, distribution: Distribution | None = None
                     for p in distribution.probabilities]
     doc["limit_approx"] = [float(p) for p in distribution.probabilities]
     return doc
-
-
-def chain_from_json(doc: dict) -> Chain:
-    states = tuple(
-        ChainState(
-            id=entry["id"],
-            representative=ConvexLinearOrder(
-                PartSequence.from_text(entry["representative"])),
-            accepting=entry["accepting"],
-            succ_plus=entry["succ_plus"],
-            succ_hat=entry["succ_hat"],
-        )
-        for entry in doc["states"]
-    )
-    return Chain(k=doc["k"], states=states, start=doc["start"])
 
 
 def chain_to_dot(chain: Chain) -> str:

@@ -41,12 +41,22 @@ before a in one class or in two.  Its mask, the set of types at which it
 holds, is computed in one pass over its connectives (an atom's mask comes
 from the relation's definition, ``!`` complements it, ``&`` intersects,
 and so on), and its automaton is the entry for that mask in a table of
-the 30 masks that are not constant, built once at import from one step
-rule and minimized.  A table automaton may differ from the product of the
-formula's atoms on a word that marks a name twice or never.  No stage can
-see that: every quantifier places its mark exactly once and only the
-closed automaton is read, so each stage need only be right on words that
-mark each of its free names once, and there the two agree.
+the 30 masks that are not constant, built once at import and minimized.
+
+Any reading of a word that marks a name twice or never is sound: every
+quantifier places its mark exactly once and only the closed automaton is
+read, so each stage need only be right on words that mark each of its
+free names once.  The table picks, per mask, the reading that keeps
+products small.  A class-local mask, one that holds at both types across
+classes, takes the every-pair reading: it rejects once some a-mark and
+b-mark in one class have a type outside the mask, so its only state is
+which names are marked in the current class, and each new class sends it
+back to the start or to the dead sink.  Every other mask takes the
+first-mark reading: the type of the first a-mark and the first b-mark,
+settled to the accepting or the rejecting sink as soon as every way to
+mark the names still unmarked gives a type inside the mask, or every way
+gives one outside.  Neither reading remembers a name once its mark has
+decided, so a product over many names does not track which are placed.
 
 A sentence compiles each shape of subformula once.  Two subformulas have
 one shape when an order-preserving renaming of their free variables takes
@@ -235,41 +245,80 @@ def _mask(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _type_step(state, bit: int, a: bool, b: bool):
-    """The pair reader's move on a letter with step bit ``bit`` that marks
-    a, b, both or neither.  Its state is None before either mark, the pair
-    type once both are placed, and in between the first name marked and
-    whether its class is still open: every step since its mark grew it."""
+#: the two types across classes: a mask that holds at both is class-local
+_CROSS = 0b10010
+
+
+def _every_pair_step(mask: int, state: int, bit: int, a: bool, b: bool
+                     ) -> int:
+    """The every-pair reader's move.  Its state is the set of names marked
+    in the current class (bit 0 for a, bit 1 for b), or -1, the dead sink,
+    once an a-mark and a b-mark in one class have a type outside ``mask``;
+    a step bit other than 1 closes the class."""
+    # the types of the pairs this letter's marks make in the class: a = b,
+    # an earlier a before this b, an earlier b before this a
+    made = (a and b) << 2 | (b and state & 1) | (a and state & 2) << 2
+    if state < 0 or made & ~mask:
+        return -1
+    return state | a | b << 1 if bit == 1 else 0
+
+
+def _first_mark_step(mask: int, state, bit: int, a: bool, b: bool):
+    """The first-mark reader's move.  Its state is None before either mark
+    and, after the first, the name marked while its class is still open
+    (every step since the mark grew it).  It becomes the sink True or False
+    as soon as every way to mark each name once gives a type inside
+    ``mask``, or every way gives one outside."""
+    if type(state) is bool:
+        return state
     if state is None:
         if a and b:
-            return 2
-        if a or b:
-            return "a" if a else "b", bit == 1
-        return None
-    if type(state) is int:
-        return state
-    first, still_open = state
-    second = b if first == "a" else a
-    if second:
-        return (0 if still_open else 1) + (0 if first == "a" else 3)
-    return first, still_open and bit == 1
-
-
-#: the pair reader's states, numbered breadth-first, and its rows over the
-#: 12 letters of two tracks
-_READER_STATES, _READER_ROWS = _explore(None, lambda state: [
-    _type_step(state, l >> 2, bool(l & 1), bool(l & 2)) for l in range(12)])
+            return bool(mask >> 2 & 1)
+        if not (a or b):
+            return None
+        first = "a" if a else "b"
+    else:
+        first = state
+        if b if first == "a" else a:
+            # the second mark, in the still open class of the first
+            return bool(mask >> (0 if first == "a" else 3) & 1)
+    # the types the second mark can still give: in this class or a later
+    # one while the class is open, only a later one once it is closed
+    later = 0b00011 if first == "a" else 0b11000
+    if bit != 1:
+        later &= _CROSS
+    if later & mask == later:
+        return True
+    if not later & mask:
+        return False
+    return first
 
 
 def _pair(mask: int) -> _DFA:
     """The automaton over the tracks of a < b that accepts a word marking
-    each name once when the type of the marked pair is in ``mask``.  What
-    it does on a word that marks a name twice or never is left open: no
-    stage depends on such words."""
-    accept = frozenset(s for s, state in enumerate(_READER_STATES)
-                       if type(state) is int and mask >> state & 1)
-    return _minimize(_DFA(("a", "b"), 0, accept, _READER_ROWS,
-                          tuple(range(12))))
+    each name once when the type of the marked pair is in ``mask``.
+
+    What it does on a word that marks a name twice or never is a choice,
+    and any choice is sound, since no stage reads such words.  A
+    class-local mask, one that holds at both types across classes, takes
+    the every-pair reading: the word is rejected once an a-mark and a
+    b-mark in one class have a type outside the mask, so the automaton
+    forgets everything at each class boundary.  Every other mask takes the
+    first-mark reading, settled to a sink at the first mark that decides
+    it.  Either way a product over many names need not track which of them
+    are placed."""
+    if mask & _CROSS == _CROSS:
+        start, step = 0, _every_pair_step
+    else:
+        start, step = None, _first_mark_step
+    states, rows = _explore(start, lambda state: [
+        step(mask, state, l >> 2, bool(l & 1), bool(l & 2))
+        for l in range(12)])
+    # every-pair states are ints, -1 the dead sink; first-mark states
+    # accept only in the sink True, which is a bool, not an int
+    accept = frozenset(s for s, state in enumerate(states) if state is True
+                       or type(state) is int and state >= 0)
+    return _minimize(_DFA(("a", "b"), 0, accept, rows, tuple(range(12))))
 
 
 #: mask -> the automaton of the masks that are not constant, built once
@@ -294,11 +343,11 @@ def _lift(dfa: _DFA, variables: tuple[str, ...]) -> _DFA:
     return _DFA(variables, dfa.start, dfa.accept, trans, column)
 
 
-def _product(a: _DFA, b: _DFA, op) -> _DFA:
-    """The automaton of ``op`` applied to the acceptance of ``a`` and ``b``.
-    A pair with a sink component whose acceptance alone decides ``op``
-    becomes the canonical sink ``True`` or ``False``, the value decided."""
-    variables = tuple(sorted(set(a.variables) | set(b.variables)))
+def _product(a: _DFA, b: _DFA, op, variables: tuple[str, ...]) -> _DFA:
+    """The automaton of ``op`` applied to the acceptance of ``a`` and ``b``,
+    over ``variables``, the sorted union of their tracks.  A pair with a
+    sink component whose acceptance alone decides ``op`` becomes the
+    canonical sink ``True`` or ``False``, the value decided."""
     a = _lift(a, variables)
     b = _lift(b, variables)
     pairs: dict = {}
@@ -443,13 +492,13 @@ def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
     elif kind is Forall:
         dfa = _complement(_exists(f.var, _complement(body)))
     elif kind is And:
-        dfa = _product(a, b, lambda p, q: p and q)
+        dfa = _product(a, b, lambda p, q: p and q, variables)
     elif kind is Or:
-        dfa = _product(a, b, lambda p, q: p or q)
+        dfa = _product(a, b, lambda p, q: p or q, variables)
     elif kind is Implies:
-        dfa = _product(a, b, lambda p, q: (not p) or q)
+        dfa = _product(a, b, lambda p, q: (not p) or q, variables)
     else:
-        dfa = _product(a, b, lambda p, q: p == q)
+        dfa = _product(a, b, lambda p, q: p == q, variables)
     entry = memo[key] = (len(memo), dfa)
     return entry
 

@@ -8,6 +8,8 @@ checker oracle: plain recursion over the formula, one point at a time through
 ``holds``, against which the library's array evaluator is tested.
 :func:`chain_walk` is the walk oracle: one step at a time through a chain,
 against which the sampler's byte-at-a-time walk is tested.
+:func:`chain_from_json` reads back a chain written by
+``limitchain.chain_to_json``, for the round-trip test.
 :class:`PairSearch` is the game oracle: the solver's pair search run down to
 the last round, against which the solver's type comparison over the last two
 rounds is tested.
@@ -19,6 +21,7 @@ import random
 from pathlib import Path
 
 from limlaw.efgame import GameSolver
+from limlaw.limitchain import Chain, ChainState
 from limlaw.logic import (
     And,
     Atom,
@@ -94,6 +97,22 @@ def chain_walk(chain, shape: PartSequence) -> int:
         s = chain.states[state]
         state = s.succ_hat if bit else s.succ_plus
     return state
+
+
+def chain_from_json(doc: dict) -> Chain:
+    """The chain written by :func:`limitchain.chain_to_json`, read back."""
+    states = tuple(
+        ChainState(
+            id=entry["id"],
+            representative=ConvexLinearOrder(
+                PartSequence.from_text(entry["representative"])),
+            accepting=entry["accepting"],
+            succ_plus=entry["succ_plus"],
+            succ_hat=entry["succ_hat"],
+        )
+        for entry in doc["states"]
+    )
+    return Chain(k=doc["k"], states=states, start=doc["start"])
 
 
 class PairSearch(GameSolver):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import chain_walk, closed_form, max_norm_distance, \
-    partition_by, random_formula, recursive_evaluate, shapes_up_to
+from conftest import chain_from_json, chain_walk, closed_form, \
+    max_norm_distance, partition_by, random_formula, recursive_evaluate, \
+    shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import BudgetExceededError, GameSolver, fast_equiv_shapes
 from limlaw import limitchain
@@ -20,7 +21,6 @@ from limlaw.limitchain import (
     analyze_limit,
     build_chain,
     build_sentence_chain,
-    chain_from_json,
     chain_to_dot,
     chain_to_json,
     check_fully_aperiodic,

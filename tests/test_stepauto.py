@@ -427,13 +427,15 @@ def _count_minimized(monkeypatch):
 class TestCompileWork:
     def test_compile_work_is_pinned(self, monkeypatch):
         # cells the compiler explores and automata it minimizes; a change
-        # here is a change in how it represents letters, prunes states or
-        # shares subformulas, not only in its speed
-        names = [f"v{i}" for i in range(9)]
+        # here is a change in how it represents letters, prunes states,
+        # shares subformulas or reads ill-formed words in its pair table,
+        # not only in its speed
+        names = [f"v{i}" for i in range(10)]
         cases = [
-            ("convex", closed_form.ladder_b(6, names)[0], 58078, 15),
+            ("convex", closed_form.ladder_b(6, names)[0], 1038, 15),
             ("composition", closed_form.family(
-                "first_class", "composition", 6, names)[0], 23996, 17),
+                "first_class", "composition", 6, names)[0], 1458, 17),
+            ("convex", closed_form.ladder_b(10, names)[0], 2614, 27),
         ]
         sizes = _count_minimized(monkeypatch)
         for theory, text, work, calls in cases:
@@ -457,7 +459,8 @@ class TestCompileWork:
         automata = {"body": body, "false": stepauto._const((), False),
                     "true": stepauto._const((), True)}
         sizes = _count_minimized(monkeypatch)
-        product = stepauto._product(automata[left], automata[right], op)
+        product = stepauto._product(automata[left], automata[right], op,
+                                   body.variables)
         assert [rows for rows, _ in sizes] == [1]
         assert (0 in product.accept) == value
 
@@ -517,6 +520,87 @@ class TestPairTable:
                             state = dfa.trans[state][dfa.column[letter]]
                         assert (state in dfa.accept) == bool(
                             mask >> pair_type & 1), (mask, str(shape), a, b)
+
+    # the two tests below pin what keeps products small, which the test
+    # above cannot see: it reads only words that mark each name once
+
+    def test_class_local_entries_forget_at_every_new_class(self):
+        # a mask that holds at both types across classes reads every pair
+        # in a class, so a letter that closes the class leaves it nothing
+        # to remember but a violation
+        local = [m for m in stepauto._PAIRS if m & _CROSS == _CROSS]
+        assert len(local) == 7
+        for mask in local:
+            dfa = stepauto._PAIRS[mask]
+            dead = [q for q in stepauto._sinks(dfa) if q not in dfa.accept]
+            for row in dfa.trans:
+                for letter in range(4):  # step bit 0, any marks
+                    assert row[dfa.column[letter]] in (dfa.start, *dead), (
+                        mask, row, letter)
+
+    def test_other_entries_settle_at_the_first_deciding_mark(self):
+        # every prefix of up to 5 step letters marking each name at most
+        # once: when all its completions that mark each name once give
+        # types inside the mask, or all give types outside it, it ends in
+        # a sink
+        words, parents = _mark_once_prefixes(5)
+        types = [_completion_types(word) for word in words]
+        settled = 0
+        for mask, dfa in stepauto._PAIRS.items():
+            if mask & _CROSS == _CROSS:
+                continue
+            sinks = set(stepauto._sinks(dfa))
+            states = [dfa.start]
+            for word, parent, possible in zip(words, parents, types):
+                if parent is not None:
+                    states.append(dfa.trans[states[parent]][
+                        dfa.column[word[-1]]])
+                if possible & mask in (0, possible):
+                    settled += 1
+                    assert states[-1] in sinks, (mask, word)
+        assert settled == 36858
+
+
+#: the two types across classes, bits 1 and 4 of a mask
+_CROSS = 0b10010
+
+
+def _mark_once_prefixes(length):
+    """The words of up to ``length`` letters with step bit 0 or 1 that mark
+    each name at most once, each after its longest proper prefix, and the
+    index of that prefix (None for the empty word)."""
+    words, parents = [()], [None]
+    for i, word in enumerate(words):
+        if len(word) < length:
+            marked = 0
+            for letter in word:
+                marked |= letter & 3
+            for letter in range(8):
+                if not letter & marked:
+                    words.append(word + (letter,))
+                    parents.append(i)
+    return words, parents
+
+
+def _completion_types(word) -> int:
+    """The mask of the pair types that the words extending ``word`` and
+    marking each name once can give.  Two points share a class when every
+    step from the first up to the second grows it (step bit 1)."""
+    a = next((i for i, letter in enumerate(word) if letter & 1), None)
+    b = next((i for i, letter in enumerate(word) if letter & 2), None)
+    if a is None and b is None:
+        return 0b11111
+    if a is not None and b is not None:
+        if a == b:
+            return 1 << 2
+        apart = not all(letter >> 2 for letter in word[min(a, b):max(a, b)])
+        return 1 << ((0 if a < b else 3) + apart)
+    # one name is marked; the other goes in its class while that is open,
+    # or in a later one
+    later = 0b00011 if a is not None else 0b11000
+    first = a if a is not None else b
+    return later if all(letter >> 2 for letter in word[first:]) else (
+        later & _CROSS)
 
 
 def _check_random_sentences(rng, fresh):
