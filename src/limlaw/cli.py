@@ -15,6 +15,7 @@ from fractions import Fraction
 from .efgame import (
     BudgetExceededError,
     GameSolver,
+    clear_fast_memo,
     fast_equiv_shapes,
     fast_memo_size,
 )
@@ -145,11 +146,12 @@ def cmd_ef(args) -> int:
     left = as_relational(theory, PartSequence.from_text(args.left))
     right = as_relational(theory, PartSequence.from_text(args.right))
     if theory == "convex" and not args.oracle:
-        before = fast_memo_size()
+        # an empty memo makes nodes and --budget the same for every call
+        clear_fast_memo()
         wins = fast_equiv_shapes(left.shape, right.shape, args.k,
                                  args.budget)
         method = "segment"
-        nodes = fast_memo_size() - before
+        nodes = fast_memo_size()
     else:
         solver = GameSolver(budget=args.budget)
         wins = solver.equiv(left, right, args.k)

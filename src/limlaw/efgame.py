@@ -202,9 +202,14 @@ def clear_fast_memo() -> None:
 
 
 def reduce_representative(c: ConvexLinearOrder, k: int) -> ConvexLinearOrder:
-    """Cap parts at 2^k - 1 and runs of identical parts at 2^k - 1 copies,
-    but only if an equivalence check confirms the reduction; otherwise the
-    input is returned unchanged."""
+    """Cap parts at 2^k - 1 and runs of identical parts at 2^k - 1 copies.
+
+    The result is k-equivalent to ``c`` by the composition theorem for
+    ordered sums (Feferman–Vaught 1959; Rosenstein, *Linear Orderings*,
+    1982): replacing a class by a k-equivalent one keeps the depth-k type,
+    a class of m >= 2^k - 1 points is k-equivalent to one of 2^k - 1, and
+    so is a run of m >= 2^k - 1 equal consecutive classes to a run of
+    2^k - 1 copies, as linear orders of those lengths are k-equivalent."""
     cap = max(1, (1 << k) - 1)
     reduced: list[int] = []
     run = 0
@@ -217,11 +222,7 @@ def reduce_representative(c: ConvexLinearOrder, k: int) -> ConvexLinearOrder:
         if run <= cap:
             reduced.append(part)
     candidate = PartSequence(tuple(reduced))
-    if candidate == c.shape:
-        return c
-    if fast_equiv_shapes(candidate, c.shape, k):
-        return ConvexLinearOrder(candidate)
-    return c
+    return c if candidate == c.shape else ConvexLinearOrder(candidate)
 
 
 # --- the generic game-tree solver ---------------------------------------------

@@ -10,13 +10,14 @@ table entry, other connectives to products and complements, quantifiers
 to projection followed by subset construction, with eager minimization
 throughout.
 
-Letters are integers.  Over the sorted free variables ``v_0 < v_1 < ...``,
-letter ``l`` has step bit ``l >> len(variables)`` (0 starts a new class
-after this point, 1 grows the last class, 2 marks the last point) and
-marks ``v_i`` at this point when bit ``i`` of ``l`` is set; the alphabet is
-``range(3 << len(variables))``.  Most letters act alike: a two-name
-subformula reads only the step bit and its own two tracks, so its
-``3 << k`` letters over k variables show at most 12 behaviours.  An
+Letters are integers over k tracks, one per free variable of the
+subformula, numbered by the sorted names ``v_0 < v_1 < ... < v_{k-1}``; an
+automaton knows its tracks by position only.  Letter ``l`` has step bit
+``l >> k`` (0 starts a new class after this point, 1 grows the last class,
+2 marks the last point) and marks ``v_i`` at this point when bit ``i`` of
+``l`` is set; the alphabet is ``range(3 << k)``.  Most letters act alike:
+a two-name subformula reads only the step bit and its own two tracks, so
+its ``3 << k`` letters show at most 12 behaviours.  An
 automaton therefore stores columns: ``column`` maps each letter to a
 column, numbered in order of its first letter, and the transition table is
 a tuple of rows, one per state, each a tuple of successors indexed by
@@ -64,9 +65,10 @@ one to the other, as when a translation or miniscoping repeats a
 subformula under new names.  Sharing is sound because a minimal automaton
 numbered this way depends only on its language over the sorted tracks, and
 an order-preserving renaming keeps the order of the tracks: the automaton
-of a shape's first node, read under another node's names, is the one that
-node would compile to.  The memo of shapes belongs to one
-``compile_sentence`` call and is dropped when it returns.
+of a shape's first node is the one every other node of the shape would
+compile to, so a memo hit shares the stored automaton itself.  The memo of
+shapes belongs to one ``compile_sentence`` call and is dropped when it
+returns.
 
 The resulting minimal automaton, read with fair-coin transitions, is a
 quotient of the class chain for the sentence's quantifier depth:
@@ -101,11 +103,10 @@ from .structures import RELATION_SYMBOLS, RELATIONS
 
 @dataclass(frozen=True)
 class _DFA:
-    """Complete DFA; ``trans[q][column[l]]`` is the successor of state ``q``
-    on letter ``l`` of ``range(3 << len(variables))``.  Columns are numbered
-    in order of their first letter."""
+    """Complete DFA over k tracks; ``trans[q][column[l]]`` is the successor
+    of state ``q`` on letter ``l`` of ``range(3 << k)``.  Columns are
+    numbered in order of their first letter."""
 
-    variables: tuple[str, ...]
     start: int
     accept: frozenset[int]
     trans: tuple[tuple[int, ...], ...]
@@ -148,7 +149,7 @@ def _minimize(dfa: _DFA) -> _DFA:
     merged: dict = {}
     renumber = [merged.setdefault(col, len(merged)) for col in zip(*rows)]
     trans = tuple(zip(*merged)) if len(merged) < len(renumber) else tuple(rows)
-    return _DFA(dfa.variables, cls[dfa.start], accept, trans,
+    return _DFA(cls[dfa.start], accept, trans,
                 tuple(map(renumber.__getitem__, dfa.column)))
 
 
@@ -183,7 +184,7 @@ def _reachable(dfa: _DFA) -> _DFA:
     in column order."""
     order, trans = _explore(dfa.start, dfa.trans.__getitem__)
     accept = frozenset(s for s, q in enumerate(order) if q in dfa.accept)
-    return _DFA(dfa.variables, 0, accept, trans, dfa.column)
+    return _DFA(0, accept, trans, dfa.column)
 
 
 def _sinks(dfa: _DFA) -> list[int]:
@@ -191,9 +192,8 @@ def _sinks(dfa: _DFA) -> list[int]:
     return [q for q, row in enumerate(dfa.trans) if row.count(q) == len(row)]
 
 
-def _const(variables: tuple[str, ...], value: bool) -> _DFA:
-    return _DFA(variables, 0, frozenset({0} if value else ()), ((0,),),
-                (0,) * (3 << len(variables)))
+def _const(k: int, value: bool) -> _DFA:
+    return _DFA(0, frozenset({0} if value else ()), ((0,),), (0,) * (3 << k))
 
 
 # A quantifier-free formula over two names a < b holds or fails on a pair of
@@ -318,38 +318,41 @@ def _pair(mask: int) -> _DFA:
     # accept only in the sink True, which is a bool, not an int
     accept = frozenset(s for s, state in enumerate(states) if state is True
                        or type(state) is int and state >= 0)
-    return _minimize(_DFA(("a", "b"), 0, accept, rows, tuple(range(12))))
+    return _minimize(_DFA(0, accept, rows, tuple(range(12))))
 
 
 #: mask -> the automaton of the masks that are not constant, built once
-#: over the tracks of the placeholder names ("a", "b")
+#: over the two tracks of a < b
 _PAIRS = {mask: _pair(mask) for mask in range(1, _FULL)}
 
 
-def _lift(dfa: _DFA, variables: tuple[str, ...]) -> _DFA:
-    """Reinterpret over a larger sorted variable set, ignoring the new
-    marks: each letter is projected onto ``dfa``'s tracks, and the columns
-    are renumbered by their first letter over the larger alphabet."""
-    if dfa.variables == variables:
+def _lift(dfa: _DFA, places: tuple[int, ...], k: int) -> _DFA:
+    """Reinterpret over k tracks, where ``dfa``'s track i is track
+    ``places[i]``, ignoring the new marks: each letter is projected onto
+    ``dfa``'s tracks, and the columns are renumbered by their first letter
+    over the larger alphabet."""
+    own = len(places)
+    if own == k:
         return dfa
-    k, own = len(variables), len(dfa.variables)
-    moves = [(variables.index(v), i) for i, v in enumerate(dfa.variables)]
-    project = [(l >> k << own) | sum((l >> j & 1) << i for j, i in moves)
+    project = [(l >> k << own) | sum((l >> j & 1) << i
+                                     for i, j in enumerate(places))
                for l in range(3 << k)]
     renumber: dict = {}
     column = tuple(renumber.setdefault(dfa.column[p], len(renumber))
                    for p in project)
     trans = tuple(tuple(map(row.__getitem__, renumber)) for row in dfa.trans)
-    return _DFA(variables, dfa.start, dfa.accept, trans, column)
+    return _DFA(dfa.start, dfa.accept, trans, column)
 
 
-def _product(a: _DFA, b: _DFA, op, variables: tuple[str, ...]) -> _DFA:
+def _product(a: _DFA, places_a: tuple[int, ...], b: _DFA,
+             places_b: tuple[int, ...], op, k: int) -> _DFA:
     """The automaton of ``op`` applied to the acceptance of ``a`` and ``b``,
-    over ``variables``, the sorted union of their tracks.  A pair with a
-    sink component whose acceptance alone decides ``op`` becomes the
-    canonical sink ``True`` or ``False``, the value decided."""
-    a = _lift(a, variables)
-    b = _lift(b, variables)
+    over k tracks, where the tracks of ``a`` and ``b`` sit at ``places_a``
+    and ``places_b``.  A pair with a sink component whose acceptance alone
+    decides ``op`` becomes the canonical sink ``True`` or ``False``, the
+    value decided."""
+    a = _lift(a, places_a, k)
+    b = _lift(b, places_b, k)
     pairs: dict = {}
     column = tuple(pairs.setdefault(p, len(pairs))
                    for p in zip(a.column, b.column))
@@ -376,27 +379,22 @@ def _product(a: _DFA, b: _DFA, op, variables: tuple[str, ...]) -> _DFA:
                             canonical if decide_a or decide_b else None)
     accept = frozenset(i for i, p in enumerate(order) if (
         p if isinstance(p, bool) else op(p[0] in a.accept, p[1] in b.accept)))
-    return _minimize(_DFA(variables, 0, accept, trans, column))
+    return _minimize(_DFA(0, accept, trans, column))
 
 
 def _complement(dfa: _DFA) -> _DFA:
     accept = frozenset(range(len(dfa.trans))) - dfa.accept
-    return _DFA(dfa.variables, dfa.start, accept, dfa.trans, dfa.column)
+    return _DFA(dfa.start, accept, dfa.trans, dfa.column)
 
 
-def _exists(var: str, body: _DFA) -> _DFA:
-    """Project the variable's track: some placement of its single mark leads
-    to acceptance.  Structures are never empty, so a vacuous quantifier is
-    the identity.
+def _exists(i: int, body: _DFA, k: int) -> _DFA:
+    """Project track i of ``body`` away, leaving k tracks: some placement of
+    its single mark leads to acceptance.
 
     A subset state is the body's run with the mark not yet placed, which is
     a single state, and the set of its runs with the mark placed.  Placed
     runs in a dead sink are dropped, and a placed run in an accepting sink
     makes the state the canonical accepting sink ``True``."""
-    if var not in body.variables:
-        return body
-    i = body.variables.index(var)
-    variables = body.variables[:i] + body.variables[i + 1:]
     low = (1 << i) - 1
     # the body's columns of each remaining letter with the variable's bit
     # inserted at position i, unmarked and marked
@@ -404,7 +402,7 @@ def _exists(var: str, body: _DFA) -> _DFA:
     column = tuple(
         pairs.setdefault((body.column[u], body.column[u | 1 << i]), len(pairs))
         for u in ((l >> i << i + 1) | (l & low)
-                  for l in range(3 << len(variables))))
+                  for l in range(3 << k)))
     letters = list(pairs)
     trans = body.trans
     sinks = _sinks(body)
@@ -432,73 +430,69 @@ def _exists(var: str, body: _DFA) -> _DFA:
                            canonical if sinks else None)
     accept = frozenset(s for s, state in enumerate(order) if state is True
                        or not state[1].isdisjoint(body.accept))
-    return _minimize(_DFA(variables, 0, accept, rows, column))
+    return _minimize(_DFA(0, accept, rows, column))
 
 
 def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
-    """The shape id and the automaton of ``f``.
+    """The shape id and the automaton of ``f``, whose tracks are its sorted
+    free variables.
 
     A quantifier-free node over at most two names is keyed by its mask and
     its number of tracks.  Any other node's key is its kind, its children's
     shape ids and where their tracks sit among its own.  Nodes with equal
     keys have one shape.  ``memo`` maps each key to its shape id and the
-    automaton of the first node that had it, which a later node of the
-    shape takes under its own variable names."""
+    automaton of the first node that had it, and a later node of the shape
+    returns that entry itself."""
     kind = type(f)
     pair = f.depth == 0 and len(f.free) <= 2
     if pair:
-        variables = tuple(sorted(f.free))
         mask = _mask(f)
         # the track count keeps a one-name constant from a two-name one
-        key = (mask, len(variables))
+        key = (mask, len(f.free))
     elif kind is Not:
         body_id, body = _compile(f.body, memo)
         key = (Not, body_id)
-        variables = body.variables
     elif kind is Exists or kind is Forall:
         body_id, body = _compile(f.body, memo)
-        variables = body.variables
         # None, not False, for a vacuous quantifier: False == 0 would
         # collide with a quantifier over the first track
-        i = variables.index(f.var) if f.var in variables else None
+        i = sorted(f.body.free).index(f.var) if f.var in f.body.free else None
         key = (kind, body_id, i)
-        if i is not None:
-            variables = variables[:i] + variables[i + 1:]
     elif kind is And or kind is Or or kind is Implies or kind is Iff:
         left_id, a = _compile(f.left, memo)
         right_id, b = _compile(f.right, memo)
-        variables = tuple(sorted(f.free))
-        place = variables.index
-        key = (kind, left_id, right_id, *map(place, a.variables), None,
-               *map(place, b.variables))
+        place = sorted(f.free).index
+        places_a = tuple(map(place, sorted(f.left.free)))
+        places_b = tuple(map(place, sorted(f.right.free)))
+        key = (kind, left_id, right_id, places_a, places_b)
     else:
         raise TypeError(f"not a formula: {f!r}")
     hit = memo.get(key)
     if hit is not None:
-        shape, dfa = hit
-        return shape, _DFA(variables, dfa.start, dfa.accept, dfa.trans,
-                           dfa.column)
+        return hit
+    k = len(f.free)
     if pair:
-        if mask == 0 or mask == _FULL:
-            dfa = _const(variables, mask == _FULL)
-        else:
-            dfa = _PAIRS[mask]
-            dfa = _DFA(variables, dfa.start, dfa.accept, dfa.trans,
-                       dfa.column)
+        dfa = _PAIRS[mask] if 0 < mask < _FULL else _const(k, mask == _FULL)
     elif kind is Not:
         dfa = _complement(body)
-    elif kind is Exists:
-        dfa = _exists(f.var, body)
-    elif kind is Forall:
-        dfa = _complement(_exists(f.var, _complement(body)))
+    elif kind is Exists or kind is Forall:
+        if i is None:
+            # structures are never empty, so a vacuous quantifier is the
+            # identity
+            dfa = body
+        elif kind is Exists:
+            dfa = _exists(i, body, k)
+        else:
+            dfa = _complement(_exists(i, _complement(body), k))
     elif kind is And:
-        dfa = _product(a, b, lambda p, q: p and q, variables)
+        dfa = _product(a, places_a, b, places_b, lambda p, q: p and q, k)
     elif kind is Or:
-        dfa = _product(a, b, lambda p, q: p or q, variables)
+        dfa = _product(a, places_a, b, places_b, lambda p, q: p or q, k)
     elif kind is Implies:
-        dfa = _product(a, b, lambda p, q: (not p) or q, variables)
+        dfa = _product(a, places_a, b, places_b,
+                       lambda p, q: (not p) or q, k)
     else:
-        dfa = _product(a, b, lambda p, q: p == q, variables)
+        dfa = _product(a, places_a, b, places_b, lambda p, q: p == q, k)
     entry = memo[key] = (len(memo), dfa)
     return entry
 
@@ -521,7 +515,7 @@ def compile_sentence(f: Formula) -> StepAutomaton:
     ensure_sentence(f)
     check_signature(f, "convex")
     _, dfa = _compile(f, {})
-    if dfa.variables:
+    if len(dfa.column) != 3:
         raise SignatureError("sentence compiled with leftover free tracks")
     # a word ends with the end marker at the last point; acceptance of a bit
     # prefix is acceptance after that final letter, and the step automaton
@@ -529,7 +523,7 @@ def compile_sentence(f: Formula) -> StepAutomaton:
     # l: 0 starts a new class, 1 grows the last, 2 is the end marker.
     new, grow, end = dfa.column
     steps = _minimize(_reachable(_DFA(
-        (), dfa.start,
+        dfa.start,
         frozenset(q for q, row in enumerate(dfa.trans)
                   if row[end] in dfa.accept),
         tuple((row[new], row[grow]) for row in dfa.trans), (0, 1))))

@@ -7,7 +7,6 @@ import pytest
 
 from limlaw import logic
 from limlaw.cli import main
-from limlaw.efgame import clear_fast_memo
 from limlaw.logic import MAX_NESTING
 
 PAIR = "exists x. exists y. (x E y & !(x = y))"
@@ -309,27 +308,33 @@ class TestEf:
 
     def test_budget_bounds_the_segment_decider(self, capsys):
         # one block of 2000 points needs 9,996 segment types at depth 3
-        # and takes seconds; the budget stops it after 1,000.  The memo is
-        # shared by the process, so each query starts from an empty one
-        clear_fast_memo()
+        # and takes seconds; the budget stops it after 1,000.  Each query
+        # starts from an empty memo, whatever ran before it
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "ef", "2000", "1", "--k", "3",
                                  "--budget", "1000")
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
         assert "segment budget exhausted" in err and "1000 entries" in err
-        clear_fast_memo()
         code, out, _ = run_cli(capsys, "ef", "300", "1", "--k", "3")
         assert (code, out.split()) == (0, ["spoiler", "method:", "segment",
                                            "nodes:", "1496"])
-        clear_fast_memo()
         code, out, _ = run_cli(capsys, "ef", "300", "1", "--k", "3",
                                "--budget", "1496")
         assert (code, out.split()[0]) == (0, "spoiler")
-        clear_fast_memo()
         code, _, err = run_cli(capsys, "ef", "300", "1", "--k", "3",
                                "--budget", "1495")
         assert code == 3 and "1495 entries" in err
+
+    def test_same_query_reports_the_same_nodes(self, capsys):
+        # a warm memo must neither shrink the count nor stretch --budget
+        runs = [run_cli(capsys, "ef", "5,3,2", "4,1,3", "--k", "3")
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "nodes: 90" in runs[0][1].splitlines()
+        code, _, err = run_cli(capsys, "ef", "5,3,2", "4,1,3", "--k", "3",
+                               "--budget", "45")
+        assert code == 3 and "45 entries" in err
 
     def test_bad_literal_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ef", "2,0", "1,1", "--k", "1")

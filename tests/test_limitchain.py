@@ -29,6 +29,7 @@ from limlaw.limitchain import (
     limit_probability,
     limiting_distribution,
     verify_chain_states,
+    walk_estimate,
 )
 from limlaw.logic import (
     MAX_EVALUATION_CELLS,
@@ -401,6 +402,19 @@ class TestEstimate:
                                           samples=samples, seed=7,
                                           method="direct")
             assert walk.hits == direct.hits, (theory, text, n)
+
+    def test_walk_estimate_on_the_analyzed_chain(self):
+        # the chain analyze_limit reports is the one estimate_probability
+        # walks; 5000 samples make a second, short chunk
+        for entry in BATTERY:
+            chain = analyze_limit(entry.theory, entry.text).chain
+            for n, samples, seed in ((1, 10, 3), (12, 5000, 7)):
+                assert walk_estimate(chain, n, samples, seed) == \
+                    estimate_probability(entry.theory, entry.text, n,
+                                         samples, seed), (entry.name, n)
+        for n, samples in ((0, 10), (5, 0), (-1, 1)):
+            with pytest.raises(ValueError):
+                walk_estimate(chain, n, samples, 1)
 
     def test_direct_refuses_a_too_wide_sentence_before_drawing(
             self, monkeypatch):

@@ -456,11 +456,12 @@ class TestCompileWork:
         # a rejecting sink decides a conjunction and an implication's
         # premise, an accepting sink a disjunction, whatever the other side
         _, body = stepauto._compile(parse("x < y & (x E y | y < z)"), {})
-        automata = {"body": body, "false": stepauto._const((), False),
-                    "true": stepauto._const((), True)}
+        automata = {"body": body, "false": stepauto._const(0, False),
+                    "true": stepauto._const(0, True)}
         sizes = _count_minimized(monkeypatch)
-        product = stepauto._product(automata[left], automata[right], op,
-                                   body.variables)
+        product = stepauto._product(
+            automata[left], (0, 1, 2) if left == "body" else (),
+            automata[right], (0, 1, 2) if right == "body" else (), op, 3)
         assert [rows for rows, _ in sizes] == [1]
         assert (0 in product.accept) == value
 
@@ -489,6 +490,36 @@ class TestShapeSharing:
                                   "exists x. x < c & x E b"))) == 2
         assert len(set(_shape_ids("exists a. a < b",
                                   "exists z. c < d"))) == 2
+
+    def test_a_renaming_shares_the_stored_automaton(self):
+        # the tracks are positions, so a hit has nothing to rename
+        memo = {}
+        first = stepauto._compile(parse("exists x. x < a & x E b"), memo)
+        second = stepauto._compile(parse("exists y. y < c & y E d"), memo)
+        assert second is first
+
+    def test_letters_run_over_the_free_variables(self, monkeypatch):
+        # every node, memo hits included, has an alphabet of 3 << k letters
+        # over its k free variables: the width is all that names its tracks
+        compile_node = stepauto._compile
+        nodes = []
+
+        def checked(f, memo):
+            entry = compile_node(f, memo)
+            assert len(entry[1].column) == 3 << len(f.free), \
+                format_formula(f)
+            nodes.append(f)
+            return entry
+
+        monkeypatch.setattr(stepauto, "_compile", checked)
+        rng = random.Random(11)
+        sentences = [s for _, s in _battery_convex_sentences()]
+        sentences += [random_formula(rng, [], 4, ("<", "E"), fresh)
+                      for fresh in (0.0, 0.45) for _ in range(150)]
+        for sentence in sentences:
+            compile_sentence(sentence)
+            compile_sentence(miniscope(sentence))
+        assert len(nodes) > 3000
 
 
 def _pair_type(view, a, b) -> int:
