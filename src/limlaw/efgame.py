@@ -111,18 +111,23 @@ def _choices(seg):
                    (right, r > 0, ra and bool(right)))
 
 
+class _OverBudget(Exception):
+    """A miss in ``_type_id`` with no room left under its limit."""
+
+
 def _type_id(seg, k: int, limit: int | None = None) -> int:
-    # ``limit``: the memo size at which a miss raises instead of adding
+    # ``limit``: B - K, where B bounds the memo's size and K is the depth of
+    # the outermost call.  A call at depth k has K - k pending ancestors,
+    # each of which will add its own entry, so a miss raises once the memo
+    # holds limit + k = B - (K - k) entries
     if k <= 0:
         return 0
     key = (k, seg)
     hit = _type_memo.get(key)
     if hit is not None:
         return hit
-    if limit is not None and len(_type_memo) >= limit:
-        raise BudgetExceededError(
-            f"segment budget exhausted: the memo reached {limit} entries "
-            f"typing a segment of {sum(seg[0])} points at depth {k}", limit)
+    if limit is not None and len(_type_memo) >= limit + k:
+        raise _OverBudget
     if k == 1:
         # both pieces are typed 0, so every split of a block gives the same
         # item: one pass over the blocks, not over the points
@@ -172,11 +177,8 @@ def fast_equiv_shapes(a: PartSequence, b: PartSequence, k: int,
     :func:`shape_type_id`."""
     if a == b:
         return True
-    before = len(_type_memo)
-    left = shape_type_id(a, k, budget)
-    if budget is not None:
-        budget -= len(_type_memo) - before
-    return left == shape_type_id(b, k, budget)
+    limit = None if budget is None else len(_type_memo) + budget
+    return _shape_type(a, k, limit) == _shape_type(b, k, limit)
 
 
 def shape_type_id(shape: PartSequence, k: int,
@@ -184,11 +186,24 @@ def shape_type_id(shape: PartSequence, k: int,
     """Depth-k type of a whole structure (both boundary flags off).
 
     With a ``budget``, a call that would add more than ``budget`` entries
-    to the memo raises :class:`BudgetExceededError` instead; each entry
-    costs one pass over the choices of its segment.
+    to the memo raises :class:`BudgetExceededError` instead, and adds none
+    past it; each entry costs one pass over the choices of its segment.
     """
     limit = None if budget is None else len(_type_memo) + budget
-    return _type_id((shape.parts, False, False), k, limit)
+    return _shape_type(shape, k, limit)
+
+
+def _shape_type(shape: PartSequence, k: int, limit: int | None) -> int:
+    """:func:`shape_type_id` with ``limit``, when given, bounding the size
+    of the memo."""
+    try:
+        return _type_id((shape.parts, False, False), k,
+                        None if limit is None else limit - k)
+    except _OverBudget:
+        raise BudgetExceededError(
+            f"segment budget exhausted: the memo would pass {limit} entries "
+            f"typing a shape of {shape.size} points at depth {k}",
+            limit) from None
 
 
 def fast_memo_size() -> int:

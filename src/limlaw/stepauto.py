@@ -21,10 +21,12 @@ its ``3 << k`` letters show at most 12 behaviours.  An
 automaton therefore stores columns: ``column`` maps each letter to a
 column, numbered in order of its first letter, and the transition table is
 a tuple of rows, one per state, each a tuple of successors indexed by
-column.  Products pair columns,
-projection pairs a letter's unmarked and marked columns, and minimization
-merges columns that act alike, so the work of a stage grows with the
-distinct behaviours of its letters, not with the alphabet.
+column.  Products pair columns: a product reads each operand through a
+letter map, from its own letters onto that operand's columns, and builds no
+relabelled copy of either.  Projection pairs a letter's unmarked and marked
+columns, and minimization merges columns that act alike, so the work of a
+stage grows with the distinct behaviours of its letters, not with the
+alphabet.
 
 Every stage numbers its states breadth-first from the start (``_explore``)
 and merges equivalent ones (``_minimize``).  Because columns are numbered by
@@ -179,14 +181,6 @@ def _explore(start, successors, canonical=None
     return order, tuple(trans)
 
 
-def _reachable(dfa: _DFA) -> _DFA:
-    """The part of ``dfa`` reachable from its start, numbered breadth-first
-    in column order."""
-    order, trans = _explore(dfa.start, dfa.trans.__getitem__)
-    accept = frozenset(s for s, q in enumerate(order) if q in dfa.accept)
-    return _DFA(0, accept, trans, dfa.column)
-
-
 def _sinks(dfa: _DFA) -> list[int]:
     """The states that loop to themselves on every column."""
     return [q for q, row in enumerate(dfa.trans) if row.count(q) == len(row)]
@@ -326,36 +320,30 @@ def _pair(mask: int) -> _DFA:
 _PAIRS = {mask: _pair(mask) for mask in range(1, _FULL)}
 
 
-def _lift(dfa: _DFA, places: tuple[int, ...], k: int) -> _DFA:
-    """Reinterpret over k tracks, where ``dfa``'s track i is track
-    ``places[i]``, ignoring the new marks: each letter is projected onto
-    ``dfa``'s tracks, and the columns are renumbered by their first letter
-    over the larger alphabet."""
+def _letters(places: tuple[int, ...], k: int):
+    """For each letter over k tracks, the letter that an operand whose
+    track i is track ``places[i]`` reads: the step bit and the marks on its
+    own tracks, the others ignored."""
     own = len(places)
     if own == k:
-        return dfa
-    project = [(l >> k << own) | sum((l >> j & 1) << i
-                                     for i, j in enumerate(places))
-               for l in range(3 << k)]
-    renumber: dict = {}
-    column = tuple(renumber.setdefault(dfa.column[p], len(renumber))
-                   for p in project)
-    trans = tuple(tuple(map(row.__getitem__, renumber)) for row in dfa.trans)
-    return _DFA(dfa.start, dfa.accept, trans, column)
+        return range(3 << k)
+    return [(l >> k << own) | sum((l >> j & 1) << i
+                                  for i, j in enumerate(places))
+            for l in range(3 << k)]
 
 
 def _product(a: _DFA, places_a: tuple[int, ...], b: _DFA,
              places_b: tuple[int, ...], op, k: int) -> _DFA:
     """The automaton of ``op`` applied to the acceptance of ``a`` and ``b``,
     over k tracks, where the tracks of ``a`` and ``b`` sit at ``places_a``
-    and ``places_b``.  A pair with a sink component whose acceptance alone
-    decides ``op`` becomes the canonical sink ``True`` or ``False``, the
-    value decided."""
-    a = _lift(a, places_a, k)
-    b = _lift(b, places_b, k)
+    and ``places_b``.  Each operand reads every letter through
+    ``_letters`` onto its own columns, as it is stored.  A pair with a sink
+    component whose acceptance alone decides ``op`` becomes the canonical
+    sink ``True`` or ``False``, the value decided."""
     pairs: dict = {}
-    column = tuple(pairs.setdefault(p, len(pairs))
-                   for p in zip(a.column, b.column))
+    column = tuple(
+        pairs.setdefault((a.column[x], b.column[y]), len(pairs))
+        for x, y in zip(_letters(places_a, k), _letters(places_b, k)))
     ca, cb = zip(*pairs)
     # sink -> the value of op that its acceptance decides
     decide_a = {q: op(v, False) for q in _sinks(a) for v in [q in a.accept]
@@ -433,6 +421,16 @@ def _exists(i: int, body: _DFA, k: int) -> _DFA:
     return _minimize(_DFA(0, accept, rows, column))
 
 
+#: the connectives that compile to a product, each as the value it takes
+#: on its operands' acceptance
+_OPS = {
+    And: lambda p, q: p and q,
+    Or: lambda p, q: p or q,
+    Implies: lambda p, q: (not p) or q,
+    Iff: lambda p, q: p == q,
+}
+
+
 def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
     """The shape id and the automaton of ``f``, whose tracks are its sorted
     free variables.
@@ -458,7 +456,7 @@ def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
         # collide with a quantifier over the first track
         i = sorted(f.body.free).index(f.var) if f.var in f.body.free else None
         key = (kind, body_id, i)
-    elif kind is And or kind is Or or kind is Implies or kind is Iff:
+    elif kind in _OPS:
         left_id, a = _compile(f.left, memo)
         right_id, b = _compile(f.right, memo)
         place = sorted(f.free).index
@@ -484,15 +482,8 @@ def _compile(f: Formula, memo: dict) -> tuple[int, _DFA]:
             dfa = _exists(i, body, k)
         else:
             dfa = _complement(_exists(i, _complement(body), k))
-    elif kind is And:
-        dfa = _product(a, places_a, b, places_b, lambda p, q: p and q, k)
-    elif kind is Or:
-        dfa = _product(a, places_a, b, places_b, lambda p, q: p or q, k)
-    elif kind is Implies:
-        dfa = _product(a, places_a, b, places_b,
-                       lambda p, q: (not p) or q, k)
     else:
-        dfa = _product(a, places_a, b, places_b, lambda p, q: p == q, k)
+        dfa = _product(a, places_a, b, places_b, _OPS[kind], k)
     entry = memo[key] = (len(memo), dfa)
     return entry
 
@@ -522,11 +513,12 @@ def compile_sentence(f: Formula) -> StepAutomaton:
     # reads the two step letters only.  With no tracks, letter l is step bit
     # l: 0 starts a new class, 1 grows the last, 2 is the end marker.
     new, grow, end = dfa.column
-    steps = _minimize(_reachable(_DFA(
-        dfa.start,
-        frozenset(q for q, row in enumerate(dfa.trans)
-                  if row[end] in dfa.accept),
-        tuple((row[new], row[grow]) for row in dfa.trans), (0, 1))))
+    rows = dfa.trans
+    order, trans = _explore(dfa.start,
+                            lambda q: (rows[q][new], rows[q][grow]))
+    steps = _minimize(_DFA(
+        0, frozenset(s for s, q in enumerate(order)
+                     if rows[q][end] in dfa.accept), trans, (0, 1)))
     new, grow = steps.column
     return StepAutomaton(
         n_states=len(steps.trans),

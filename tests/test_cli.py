@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from limlaw import logic
+from limlaw import efgame, logic
 from limlaw.cli import main
 from limlaw.logic import MAX_NESTING
 
@@ -335,6 +335,27 @@ class TestEf:
         code, _, err = run_cli(capsys, "ef", "5,3,2", "4,1,3", "--k", "3",
                                "--budget", "45")
         assert code == 3 and "45 entries" in err
+
+    def test_budget_is_exact(self, capsys):
+        # a query answers exactly when its budget covers the segment types
+        # it needs from an empty memo, and the memo never grows past the
+        # budget, answered or not
+        code, out, err = run_cli(capsys, "ef", "5,3,2", "4,1,3", "--k", "3",
+                                 "--budget", "89")
+        assert (code, out) == (3, "") and "89 entries" in err
+        code, out, _ = run_cli(capsys, "ef", "5,3,2", "4,1,3", "--k", "3",
+                               "--budget", "90")
+        assert code == 0 and "nodes: 90" in out.splitlines()
+        for query, need in ((("5,3,2", "4,1,3"), 90), (("300", "1"), 1496)):
+            for budget in range(80, 96):
+                code, out, _ = run_cli(capsys, "ef", *query, "--k", "3",
+                                       "--budget", str(budget))
+                assert (code == 0) == (budget >= need), (query, budget)
+                assert code in (0, 3)
+                if code == 0:
+                    nodes = int(out.split("nodes:")[1])
+                    assert nodes == need <= budget, (query, budget)
+                assert efgame.fast_memo_size() <= budget, (query, budget)
 
     def test_bad_literal_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ef", "2,0", "1,1", "--k", "1")

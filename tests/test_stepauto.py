@@ -634,6 +634,45 @@ def _completion_types(word) -> int:
         later & _CROSS)
 
 
+def _accepts(dfa, word) -> bool:
+    state = dfa.start
+    for letter in word:
+        state = dfa.trans[state][dfa.column[letter]]
+    return state in dfa.accept
+
+
+def _read_on(word, places, k):
+    """The word as an automaton whose track i is track ``places[i]`` of k
+    reads it: each letter keeps its step bit and the marks on those
+    tracks."""
+    return [letter >> k << len(places) | sum(
+        (letter >> place & 1) << i for i, place in enumerate(places))
+        for letter in word]
+
+
+class TestProduct:
+    def test_operands_read_their_own_tracks(self):
+        # two pair-table entries on different pairs of three tracks, under
+        # every connective: on any word, the product accepts when the
+        # connective holds of what each entry accepts on its own tracks
+        rng = random.Random(5)
+        k = 3
+        track_pairs = [(0, 1), (0, 2), (1, 2)]
+        for _ in range(30):
+            a, b = (stepauto._PAIRS[mask] for mask in
+                    rng.sample(sorted(stepauto._PAIRS), 2))
+            places_a, places_b = rng.sample(track_pairs, 2)
+            words = [[rng.randrange(3 << k) for _ in range(rng.randint(0, 6))]
+                     for _ in range(30)]
+            for op in stepauto._OPS.values():
+                product = stepauto._product(a, places_a, b, places_b, op, k)
+                for word in words:
+                    want = op(_accepts(a, _read_on(word, places_a, k)),
+                              _accepts(b, _read_on(word, places_b, k)))
+                    assert _accepts(product, word) == want, (
+                        places_a, places_b, word)
+
+
 def _check_random_sentences(rng, fresh):
     """Closed {<, E} sentences of depth up to 4, shadowing and vacuous
     quantifiers included, compiled as they are and miniscoped, against
