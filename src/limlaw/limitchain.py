@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
 import numpy as np
@@ -55,7 +55,14 @@ from .structures import (
 
 
 class PeriodicChainError(ValueError):
-    """Raised when an operation requires a fully aperiodic chain."""
+    """Raised when an operation requires a fully aperiodic chain; ``state``
+    lies in a closed class whose cycle lengths have gcd ``period`` > 1."""
+
+    def __init__(self, state: int, period: int) -> None:
+        super().__init__(f"chain is not fully aperiodic: the closed class of "
+                         f"state {state} has period {period}")
+        self.state = state
+        self.period = period
 
 
 class InternalVerificationError(RuntimeError):
@@ -94,13 +101,15 @@ class Distribution:
     probabilities: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        total = Fraction(0)
         for p in self.probabilities:
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError(f"negative probability {p}")
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        common = lcm(*(p.denominator for p in self.probabilities))
+        total = sum(p.numerator * (common // p.denominator)
+                    for p in self.probabilities)
+        if total != common:
+            raise ValueError(
+                f"probabilities sum to {Fraction(total, common)}, not 1")
 
     def __getitem__(self, i: int) -> Fraction:
         return self.probabilities[i]
@@ -168,16 +177,12 @@ def build_chain(k: int,
     return Chain(k=k, states=states, start=0)
 
 
-def _successor_sets(chain: Chain) -> list[tuple[int, ...]]:
-    return [tuple(sorted({s.succ_plus, s.succ_hat})) for s in chain.states]
-
-
 def _strongly_connected_components(adj: list[tuple[int, ...]]) -> list[list[int]]:
-    """Iterative Tarjan; components are returned in reverse topological order."""
+    """Iterative Tarjan; components are returned in reverse topological order.
+    A finished component's ``low`` is raised past every index."""
     n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -186,37 +191,57 @@ def _strongly_connected_components(adj: list[tuple[int, ...]]) -> list[list[int]
             continue
         work = [(root, 0)]
         while work:
-            node, edge_idx = work.pop()
-            if edge_idx == 0:
+            node, edge = work.pop()
+            if edge == 0:
                 index[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for ei in range(edge_idx, len(adj[node])):
-                succ = adj[node][ei]
+            if edge < len(adj[node]):
+                work.append((node, edge + 1))
+                succ = adj[node][edge]
                 if index[succ] == -1:
-                    work.append((node, ei + 1))
                     work.append((succ, 0))
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
+                else:
+                    low[node] = min(low[node], low[succ])
                 continue
             if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
+                comp = [stack.pop()]
+                while comp[-1] != node:
+                    comp.append(stack.pop())
+                for w in comp:
+                    low[w] = n
                 components.append(comp)
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
     return components
+
+
+def _components(chain: Chain) -> list[tuple[list[int], bool]]:
+    """The chain's strongly connected components in topological order, each
+    with whether it is closed (no step leaves it).  Raises
+    :class:`PeriodicChainError`, naming its least state, at the first closed
+    class of period > 1: the gcd of ``level[u] + 1 - level[v]`` over its
+    steps u -> v, with levels from a breadth-first search."""
+    adj = [tuple(sorted({s.succ_plus, s.succ_hat})) for s in chain.states]
+    order = []
+    for comp in reversed(_strongly_connected_components(adj)):
+        inside = set(comp)
+        closed = all(v in inside for u in comp for v in adj[u])
+        if closed and len(comp) > 1:
+            level = {comp[0]: 0}
+            queue = [comp[0]]
+            for u in queue:
+                for v in adj[u]:
+                    if v not in level:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            period = gcd(*(level[u] + 1 - level[v]
+                           for u in comp for v in adj[u]))
+            if period != 1:
+                raise PeriodicChainError(min(comp), period)
+        order.append((comp, closed))
+    return order
 
 
 def check_fully_aperiodic(chain: Chain) -> bool:
@@ -230,133 +255,107 @@ def check_fully_aperiodic(chain: Chain) -> bool:
     its cycle lengths).  Transient components never witness periodicity —
     their leaked transitions break any probability-1 cyclic partition.
     """
-    adj = _successor_sets(chain)
-    comps = _strongly_connected_components(adj)
-    for comp in comps:
-        comp_set = set(comp)
-        if any(v not in comp_set for u in comp for v in adj[u]):
-            continue  # not a sink component
-        if len(comp) == 1 and comp[0] not in adj[comp[0]]:
-            continue
-        root = comp[0]
-        level = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v in comp_set and v not in level:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        period = 0
-        for u in comp:
-            for v in adj[u]:
-                if v in comp_set:
-                    period = gcd(period, level[u] + 1 - level[v])
-        if abs(period) != 1:
-            return False
+    try:
+        _components(chain)
+    except PeriodicChainError:
+        return False
     return True
 
 
-def _solve_exact(matrix: list[list[Fraction]],
-                 rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gaussian elimination over the rationals; ``rhs`` holds one column per
-    right-hand side."""
-    n = len(matrix)
-    a = [row[:] + r[:] for row, r in zip(matrix, rhs)]
-    width = len(a[0])
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+def _solve_integer(rows: list[list[int]]) -> tuple[list[int], int]:
+    """The solution ``y[i] / d`` (``d > 0``) of the nonsingular integer
+    system with augmented ``rows``, by fraction-free Gauss–Jordan
+    elimination (Bareiss 1968): each step divides exactly by the previous
+    pivot, and the last pivot ends on the whole diagonal."""
+    m = len(rows)
+    prev = 1
+    for k in range(m):
+        p = next((r for r in range(k, m) if rows[r][k]), None)
+        if p is None:
             raise InternalVerificationError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [row[n:width] for row in a]
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        pivot = top[k]
+        for r, row in enumerate(rows):
+            if r != k and (row[k] or pivot != prev):
+                rows[r] = [(pivot * x - row[k] * t) // prev
+                           for x, t in zip(row, top)]
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return [sign * row[m] for row in rows], sign * prev
 
 
 def limiting_distribution(chain: Chain) -> Distribution:
     """The exact limit of the n-step distribution from the start state.
 
-    Condense to strongly connected components; every sink component is
-    irreducible and (by the aperiodicity precondition) aperiodic, so it has
-    a unique stationary distribution.  The limit weights each sink's
-    stationary distribution by the probability of absorption into it.
+    One pass over the strongly connected components, sources first
+    (Kemeny and Snell, *Finite Markov Chains*, 1960), carries each state's
+    mass: the chance that the walk enters it from another component, an
+    integer over a power of two unless a cyclic transient component lies
+    upstream.  A lone transient state passes its mass on: all of it through
+    its step that is not a self-loop, otherwise half through each.  A
+    cyclic transient component solves for its expected visits and passes
+    half of each through every step that leaves it.  A closed class spreads
+    the mass it absorbs by its stationary distribution, unique since it is
+    irreducible and aperiodic.  Each solve is an integer elimination over
+    one component; a component no mass reaches is skipped.
+
+    Raises :class:`PeriodicChainError` if a closed class is periodic.
     """
-    if not check_fully_aperiodic(chain):
-        raise PeriodicChainError("chain is not fully aperiodic")
     n = len(chain.states)
-    adj = _successor_sets(chain)
-    comps = _strongly_connected_components(adj)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for node in comp:
-            comp_of[node] = ci
-    is_sink = [all(comp_of[v] == ci for u in comp for v in adj[u])
-               for ci, comp in enumerate(comps)]
-    half = Fraction(1, 2)
+    plus = [s.succ_plus for s in chain.states]
+    grow = [s.succ_hat for s in chain.states]
+    num = [0] * (n + 1)  # state u holds num[u] / den[u]; slot n, all
+    den = [1] * (n + 1)  # the mass absorbed so far
+    num[chain.start] = 1
 
-    def weight(u: int, v: int) -> Fraction:
-        s = chain.states[u]
-        return half * ((s.succ_plus == v) + (s.succ_hat == v))
-
-    stationary: dict[int, dict[int, Fraction]] = {}
-    for ci, comp in enumerate(comps):
-        if not is_sink[ci]:
-            continue
-        m = len(comp)
-        pos = {node: idx for idx, node in enumerate(comp)}
-        rows = []
-        rhs = []
-        for j in range(m - 1):
-            target = comp[j]
-            row = [weight(comp[i], target) - (1 if i == j else 0)
-                   for i in range(m)]
-            rows.append(row)
-            rhs.append([Fraction(0)])
-        rows.append([Fraction(1)] * m)
-        rhs.append([Fraction(1)])
-        solution = _solve_exact(rows, rhs)
-        stationary[ci] = {node: solution[pos[node]][0] for node in comp}
-
-    sink_ids = [ci for ci in range(len(comps)) if is_sink[ci]]
-    start_comp = comp_of[chain.start]
-    absorb: dict[int, Fraction] = {ci: Fraction(0) for ci in sink_ids}
-    if is_sink[start_comp]:
-        absorb[start_comp] = Fraction(1)
-    else:
-        transient = [u for u in range(n) if not is_sink[comp_of[u]]]
-        t_pos = {u: idx for idx, u in enumerate(transient)}
-        rows = []
-        rhs = []
-        for u in transient:
-            row = [Fraction(0)] * len(transient)
-            row[t_pos[u]] = Fraction(1)
-            hit = [Fraction(0)] * len(sink_ids)
-            for v in set(adj[u]):
-                w = weight(u, v)
-                if v in t_pos:
-                    row[t_pos[v]] -= w
-                else:
-                    hit[sink_ids.index(comp_of[v])] += w
-            rows.append(row)
-            rhs.append(hit)
-        solution = _solve_exact(rows, rhs)
-        for si, ci in enumerate(sink_ids):
-            absorb[ci] = solution[t_pos[chain.start]][si]
-    if sum(absorb.values()) != 1:
-        raise InternalVerificationError(
-            f"absorption probabilities sum to {sum(absorb.values())}")
+    def give(v: int, a: int, p: int) -> None:  # add a / p to v's mass
+        q = den[v]
+        if p != q:
+            den[v] = lcm(p, q)
+            a *= den[v] // p
+            num[v] *= den[v] // q
+        num[v] += a
 
     probs = [Fraction(0)] * n
-    for ci in sink_ids:
-        for node, mass in stationary[ci].items():
-            probs[node] = absorb[ci] * mass
+    for comp, closed in _components(chain):
+        if not any(num[u] for u in comp):
+            continue
+        if len(comp) == 1 and not closed:
+            u = comp[0]
+            out = {plus[u], grow[u]} - {u}
+            for v in out:
+                give(v, num[u], len(out) * den[u])
+            continue
+        m = len(comp)
+        common = lcm(*(den[u] for u in comp))
+        inflow = [num[u] * (common // den[u]) for u in comp]
+        pos = {u: i for i, u in enumerate(comp)}
+        # row j: 2 x_j - (x_i summed over the steps i -> j) = rhs_j, for x
+        # the stationary distribution of a closed class (rhs 0, and the
+        # last row says sum x = 1), else the expected visits times common
+        rows = [[2 * (i == j) for i in range(m)]
+                + [0 if closed else 2 * inflow[j]] for j in range(m)]
+        for i, u in enumerate(comp):
+            for v in (plus[u], grow[u]):
+                if v in pos:
+                    rows[pos[v]][i] -= 1
+        if closed:
+            rows[-1] = [1] * (m + 1)
+        y, d = _solve_integer(rows)
+        if closed:
+            mass = sum(inflow)
+            for u, yi in zip(comp, y):
+                probs[u] = Fraction(mass * yi, common * d)
+            give(n, mass, common)
+        else:
+            for u, yi in zip(comp, y):
+                for v in (plus[u], grow[u]):
+                    if v not in pos:
+                        give(v, yi, 2 * d * common)
+    if num[n] != den[n]:
+        raise InternalVerificationError(
+            f"absorption probabilities sum to {Fraction(num[n], den[n])}")
     return Distribution(tuple(probs))
 
 

@@ -12,16 +12,26 @@ against which the sampler's byte-at-a-time walk is tested.
 ``limitchain.chain_to_json``, for the round-trip test.
 :class:`PairSearch` is the game oracle: the solver's pair search run down to
 the last round, against which the solver's type comparison over the last two
-rounds is tested.
+rounds is tested.  :func:`dense_limiting_distribution` is the limit oracle:
+dense Gaussian elimination over ``Fraction`` on classes found by plain
+reachability, against which the solver's one pass over the components is
+tested.
 """
 from __future__ import annotations
 
 import importlib.util
 import random
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from limlaw.efgame import GameSolver
-from limlaw.limitchain import Chain, ChainState
+from limlaw.limitchain import (
+    Chain,
+    ChainState,
+    Distribution,
+    PeriodicChainError,
+)
 from limlaw.logic import (
     And,
     Atom,
@@ -113,6 +123,117 @@ def chain_from_json(doc: dict) -> Chain:
         for entry in doc["states"]
     )
     return Chain(k=doc["k"], states=states, start=doc["start"])
+
+
+def reachable(chain) -> list[set[int]]:
+    """The states each state reaches in zero or more steps."""
+    reach = []
+    for u in range(len(chain)):
+        seen = {u}
+        todo = [u]
+        while todo:
+            s = chain.states[todo.pop()]
+            for v in (s.succ_plus, s.succ_hat):
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        reach.append(seen)
+    return reach
+
+
+def closed_classes(chain) -> list[tuple[frozenset[int], int]]:
+    """Each closed class with its period.  A state lies in one if it is
+    reached back from every state it reaches, and the class is then all it
+    reaches; the period is the gcd of ``level[u] + 1 - level[v]`` over the
+    class's steps, with levels from a search out of its least state."""
+    reach = reachable(chain)
+    classes = []
+    for u in range(len(chain)):
+        members = frozenset(reach[u])
+        if u != min(members) or any(u not in reach[v] for v in members):
+            continue
+        level = {u: 0}
+        todo = [u]
+        for w in todo:
+            s = chain.states[w]
+            for v in (s.succ_plus, s.succ_hat):
+                if v not in level:
+                    level[v] = level[w] + 1
+                    todo.append(v)
+        period = 0
+        for w in members:
+            s = chain.states[w]
+            for v in (s.succ_plus, s.succ_hat):
+                period = gcd(period, level[w] + 1 - level[v])
+        classes.append((members, period))
+    return classes
+
+
+def _gauss_solve(matrix, rhs):
+    """Gaussian elimination over the rationals; ``rhs`` holds one column per
+    right-hand side."""
+    n = len(matrix)
+    a = [row[:] + r[:] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def dense_limiting_distribution(chain) -> Distribution:
+    """The chain's limit, solved densely: each closed class's stationary
+    distribution by its own elimination, weighted by the chance of being
+    absorbed into it, which one elimination over all transient states
+    gives for every class at once."""
+    classes = closed_classes(chain)
+    for members, period in classes:
+        if period != 1:
+            raise PeriodicChainError(min(members), period)
+    n = len(chain)
+    class_of = {u: ci for ci, (members, _) in enumerate(classes)
+                for u in members}
+    half = Fraction(1, 2)
+
+    def weight(u, v):
+        s = chain.states[u]
+        return half * ((s.succ_plus == v) + (s.succ_hat == v))
+
+    probs = [Fraction(0)] * n
+    transient = [u for u in range(n) if u not in class_of]
+    if chain.start in class_of:
+        absorb = [Fraction(int(ci == class_of[chain.start]))
+                  for ci in range(len(classes))]
+    else:
+        t_pos = {u: i for i, u in enumerate(transient)}
+        rows, rhs = [], []
+        for u in transient:
+            row = [Fraction(0)] * len(transient)
+            row[t_pos[u]] += 1
+            hit = [Fraction(0)] * len(classes)
+            for v in {chain.states[u].succ_plus, chain.states[u].succ_hat}:
+                if v in t_pos:
+                    row[t_pos[v]] -= weight(u, v)
+                else:
+                    hit[class_of[v]] += weight(u, v)
+            rows.append(row)
+            rhs.append(hit)
+        absorb = _gauss_solve(rows, rhs)[t_pos[chain.start]]
+    assert sum(absorb) == 1
+    for (members, _), mass in zip(classes, absorb):
+        comp = sorted(members)
+        m = len(comp)
+        rows = [[weight(comp[i], comp[j]) - (i == j) for i in range(m)]
+                for j in range(m - 1)] + [[Fraction(1)] * m]
+        rhs = [[Fraction(0)]] * (m - 1) + [[Fraction(1)]]
+        for u, (p,) in zip(comp, _gauss_solve(rows, rhs)):
+            probs[u] = mass * p
+    return Distribution(tuple(probs))
 
 
 class PairSearch(GameSolver):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import chain_from_json, chain_walk, closed_form, \
-    max_norm_distance, partition_by, random_formula, recursive_evaluate, \
-    shapes_up_to
+from conftest import chain_from_json, chain_walk, closed_classes, \
+    closed_form, dense_limiting_distribution, max_norm_distance, \
+    partition_by, random_formula, reachable, recursive_evaluate, shapes_up_to
 from limlaw.battery import BATTERY
 from limlaw.efgame import BudgetExceededError, GameSolver, fast_equiv_shapes
 from limlaw import limitchain
@@ -171,11 +171,121 @@ class TestLimitingDistribution:
         with pytest.raises(PeriodicChainError):
             limiting_distribution(_hand_chain([(1, 1), (0, 0)]))
 
+    def test_periodic_error_names_a_state_and_the_period(self):
+        # the start leaks into the 2-cycle {1, 2}
+        with pytest.raises(PeriodicChainError) as exc:
+            limiting_distribution(_hand_chain([(0, 1), (2, 2), (1, 1)]))
+        assert (exc.value.state, exc.value.period) == (1, 2)
+        assert "state 1 has period 2" in str(exc.value)
+        with pytest.raises(PeriodicChainError) as exc:
+            limiting_distribution(_hand_chain([(1, 1), (0, 0)]))
+        assert (exc.value.state, exc.value.period) == (0, 2)
+
+    def test_transient_cycle_passes_its_visits_on(self):
+        # 0 and 1 swap or leak, 0 into 2 and 1 into 3: from 0 the walk
+        # reaches 2 with chance 1/2 + 1/4 of that again, so 2/3
+        chain = _hand_chain([(1, 2), (0, 3), (2, 2), (3, 3)])
+        assert limiting_distribution(chain).probabilities == \
+            (0, 0, Fraction(2, 3), Fraction(1, 3))
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             Distribution((HALF, HALF, HALF))
         with pytest.raises(ValueError):
             Distribution((Fraction(3, 2), Fraction(-1, 2)))
+
+
+def _random_chain(rng):
+    """A chain of at most 12 states, shuffled, built to take the solver's
+    rarer branches: closed classes of 1 to 6 states, some of them plain
+    cycles (period = size), then transient states whose first step stays
+    among them, so they often form cycles, and whose two steps sometimes
+    agree.  The start is most often transient, else any state."""
+    succs = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        size = rng.randint(1, 6)
+        if len(succs) + size > 10:
+            break
+        base = len(succs)
+        cycle = rng.random() < 0.1
+        for i in range(size):
+            nxt = base + (i + 1) % size
+            succs.append((nxt, nxt if cycle else base + rng.randrange(size)))
+    first = len(succs)
+    n = rng.randint(first, 12)
+    for _ in range(first, n):
+        a, b = rng.randrange(first, n), rng.randrange(n)
+        succs.append((a, a) if rng.random() < 0.2 else (a, b))
+    perm = rng.sample(range(n), n)
+    shuffled = [None] * n
+    for u, (a, b) in enumerate(succs):
+        shuffled[perm[u]] = (perm[a], perm[b])
+    start = rng.randrange(first if first < n and rng.random() < 0.6 else 0, n)
+    return _hand_chain(shuffled, start=perm[start])
+
+
+def _built_chains():
+    """Every chain of the battery, the three families at m = 2..6 in all
+    four theories, ladder A at m = 2..12, ladder B at m = 2..7, and the
+    class chains at depths 1 and 2."""
+    texts = [(e.theory, e.text) for e in BATTERY]
+    for family in closed_form.FAMILIES:
+        for theory in closed_form.THEORIES:
+            texts += [(theory, closed_form.family(
+                family, theory, m, [f"v{i}" for i in range(m + 1)])[0])
+                for m in range(2, 7)]
+    texts += [("convex", closed_form.ladder_a(m, [f"v{i}" for i in
+                                               range(m + 1)])[0])
+              for m in range(2, 13)]
+    texts += [("convex", closed_form.ladder_b(m, [f"v{i}" for i in
+                                               range(m)])[0])
+              for m in range(2, 8)]
+    chains = [limitchain.prepare_chain(theory, text)[2]
+              for theory, text in texts]
+    return chains + [build_chain(1), build_chain(2)]
+
+
+class TestDenseOracle:
+    """The one pass over the components against ``Fraction`` elimination
+    over all transient states at once (``conftest``)."""
+
+    def test_built_chains(self):
+        chains = _built_chains()
+        assert len(chains) == 89
+        for chain in chains:
+            assert limiting_distribution(chain).probabilities == \
+                dense_limiting_distribution(chain).probabilities
+
+    def test_random_chains(self):
+        rng = random.Random(28)
+        seen = dict.fromkeys(("start closed", "transient cycle", "steps agree",
+                              "two closed classes of 2+", "periodic"), 0)
+        for _ in range(300):
+            chain = _random_chain(rng)
+            classes = closed_classes(chain)
+            periodic = {u: d for members, d in classes if d != 1
+                        for u in members}
+            reach = reachable(chain)
+            recurrent = set().union(*(members for members, _ in classes))
+            seen["start closed"] += chain.start in recurrent
+            seen["transient cycle"] += any(
+                u in reach[v] for u in reach[chain.start] - recurrent
+                for v in reach[u] if v != u)
+            seen["steps agree"] += any(s.succ_plus == s.succ_hat != s.id
+                                       for s in chain.states)
+            seen["two closed classes of 2+"] += sum(
+                len(members) >= 2 for members, _ in classes) >= 2
+            seen["periodic"] += bool(periodic)
+            if periodic:
+                with pytest.raises(PeriodicChainError) as exc:
+                    limiting_distribution(chain)
+                assert periodic[exc.value.state] == exc.value.period
+                with pytest.raises(PeriodicChainError):
+                    dense_limiting_distribution(chain)
+            else:
+                assert limiting_distribution(chain).probabilities == \
+                    dense_limiting_distribution(chain).probabilities
+        assert min(seen.values()) >= 25, seen
 
 
 class TestDistributionAfter:

@@ -696,5 +696,6 @@ class TestRandomSentences:
 
     def test_quantifier_heavy_sentences_match_the_recursive_evaluator(self):
         # a quantifier over a fresh name at 45% of levels puts automata
-        # over few tracks under products over more, which lifts them
+        # over few tracks under products over more, which read them
+        # through a letter map
         _check_random_sentences(random.Random(7), 0.45)
